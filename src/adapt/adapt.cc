@@ -11,59 +11,14 @@
 
 #include "adapt/controller.h"
 #include "adapt/estimator.h"
-#include "common/check.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/false_alarm_model.h"
-#include "resilience/cancel.h"
+#include "engine/request.h"
 #include "sim/closed_loop.h"
 
 namespace sparsedet::adapt {
 namespace {
-
-JsonValue ParamsJson(const SystemParams& p) {
-  JsonValue obj = JsonValue::Object();
-  obj.Set("field_width", p.field_width)
-      .Set("field_height", p.field_height)
-      .Set("nodes", p.num_nodes)
-      .Set("rs", p.sensing_range)
-      .Set("rc", p.comm_range)
-      .Set("pd", p.detect_prob)
-      .Set("period", p.period_length)
-      .Set("speed", p.target_speed)
-      .Set("window", p.window_periods)
-      .Set("k", p.threshold_reports);
-  return obj;
-}
-
-JsonValue OptionsJson(const MsApproachOptions& o) {
-  JsonValue obj = JsonValue::Object();
-  obj.Set("gh", o.gh)
-      .Set("g", o.g)
-      .Set("normalize", o.normalize)
-      .Set("reliability", o.node_reliability);
-  return obj;
-}
-
-// One candidate as an engine request: a single-point sweep, the engine's
-// cheapest unit (detection probability only). Consecutive epochs differ
-// only in the population scalar, so these land on the same solver memo
-// entries any optimizer or user sweep over the scenario would warm.
-std::string SweepRequestLine(const SystemParams& p,
-                             const MsApproachOptions& o, std::uint64_t id) {
-  JsonValue sweep = JsonValue::Object();
-  sweep.Set("param", "nodes")
-      .Set("from", p.num_nodes)
-      .Set("to", p.num_nodes)
-      .Set("step", 1);
-  JsonValue req = JsonValue::Object();
-  req.Set("id", static_cast<std::int64_t>(id))
-      .Set("op", "sweep")
-      .Set("params", ParamsJson(p))
-      .Set("options", OptionsJson(o))
-      .Set("sweep", std::move(sweep));
-  return req.ToString();
-}
 
 // Monte-Carlo validation of one epoch's chosen setting at the realized
 // alive count (transport loss included; death is already realized in the
@@ -78,52 +33,10 @@ std::string SimulateRequestLine(const SystemParams& p, int trials,
   JsonValue req = JsonValue::Object();
   req.Set("id", static_cast<std::int64_t>(id))
       .Set("op", "simulate")
-      .Set("params", ParamsJson(p))
+      .Set("params", engine::ParamsToJson(p))
       .Set("sim", std::move(sim));
   return req.ToString();
 }
-
-// The detection probability out of a single-point sweep response, or a
-// negative value when the engine answered with a per-request error.
-double ExtractSweepDetection(const JsonValue& response) {
-  const JsonValue* result =
-      response.is_object() ? response.Find("result") : nullptr;
-  if (result == nullptr) return -1.0;
-  const JsonValue* points = result->Find("points");
-  SPARSEDET_CHECK(points != nullptr && points->is_array() &&
-                      points->Size() == 1,
-                  "inner solve response missing its sweep point");
-  const JsonValue* detection = points->At(0).Find("detection_probability");
-  SPARSEDET_CHECK(detection != nullptr && detection->is_number(),
-                  "inner solve response missing detection_probability");
-  return detection->AsDouble();
-}
-
-// The optimizer's structured error vocabulary, so clients branch on the
-// same codes for every long-command kind.
-const char* CancelErrorCode(resilience::CancelReason reason) {
-  switch (reason) {
-    case resilience::CancelReason::kDeadline:
-      return "deadline_exceeded";
-    case resilience::CancelReason::kWatchdog:
-      return "watchdog_cancelled";
-    case resilience::CancelReason::kDisconnect:
-      return "disconnected";
-    default:
-      return "cancelled";
-  }
-}
-
-// Decrements adapt_active on every exit path, exception-safe.
-struct ActiveGuard {
-  explicit ActiveGuard(obs::Gauge* gauge) : gauge_(gauge) {
-    if (gauge_ != nullptr) gauge_->Add(1);
-  }
-  ~ActiveGuard() {
-    if (gauge_ != nullptr) gauge_->Add(-1);
-  }
-  obs::Gauge* gauge_;
-};
 
 // Rng substream labels for the closed loop's two consumers; disjoint from
 // each other and stable across releases (they are part of the
@@ -131,7 +44,8 @@ struct ActiveGuard {
 constexpr std::uint64_t kQuiescentLabelBase = 0xADA0'0000ULL;
 constexpr std::uint64_t kValidateLabelBase = 0xADB0'0000ULL;
 
-// Engine seeds must survive the request parser's double round-trip.
+// Engine seeds must survive the request parser's double round-trip (it
+// accepts sim.seed up to engine::kMaxExactJsonInt, 2^53 - 1).
 constexpr std::uint64_t kSeedMask = (1ULL << 53) - 1;
 
 class Runner {
@@ -140,33 +54,19 @@ class Runner {
          obs::MetricsRegistry* registry, const AdaptHooks& hooks)
       : spec_(spec),
         backend_(backend),
-        hooks_(hooks),
         metrics_(registry != nullptr ? std::make_unique<AdaptMetrics>(
                                            *registry)
-                                     : nullptr) {}
+                                     : nullptr),
+        gate_(hooks, metrics_ ? metrics_->deadline_partial : nullptr) {}
 
   JsonValue Run();
 
  private:
-  // False = stop the loop now (deadline expired / admission refused), with
-  // the epochs completed so far as the partial result.
-  bool KeepGoing() {
-    if (hooks_.cancel != nullptr) hooks_.cancel->ThrowIfCancelled();
-    if (deadline_.set() && deadline_.Expired()) {
-      degraded_ = true;
-      if (metrics_) metrics_->deadline_partial->Inc();
-      return false;
-    }
-    return true;
-  }
-
+  // False = stop the loop now (admission refused), with the epochs
+  // completed so far as the partial result.
   bool Solve(const std::vector<std::string>& lines,
              std::vector<JsonValue>* responses) {
-    if (hooks_.admit && !hooks_.admit(lines.size(), deadline_)) {
-      degraded_ = true;
-      if (metrics_) metrics_->deadline_partial->Inc();
-      return false;
-    }
+    if (!gate_.Admit(lines.size())) return false;
     *responses = backend_.Solve(lines);
     return true;
   }
@@ -191,22 +91,17 @@ class Runner {
 
   AdaptSpec spec_;
   opt::SolveBackend& backend_;
-  AdaptHooks hooks_;
   std::unique_ptr<AdaptMetrics> metrics_;
-  resilience::Deadline deadline_;
+  opt::BatchGate gate_;
 
   std::uint64_t next_id_ = 1;
   std::int64_t solve_errors_ = 0;
-  bool degraded_ = false;
 };
 
 JsonValue Runner::Run() {
   if (metrics_) metrics_->runs->Inc();
-  ActiveGuard active(metrics_ ? metrics_->active : nullptr);
-
-  deadline_ = spec_.deadline_ms > 0
-                  ? resilience::Deadline::AfterMillis(spec_.deadline_ms)
-                  : resilience::Deadline();
+  opt::ActiveGuard active(metrics_ ? metrics_->active : nullptr);
+  gate_.Start(spec_.deadline_ms);
 
   const int epoch_periods = spec_.EpochPeriods();
   const bool closed_loop = spec_.mode == AdaptMode::kClosedLoop;
@@ -262,7 +157,7 @@ JsonValue Runner::Run() {
   int final_population = spec_.params.num_nodes;
 
   for (int e = 0; e < spec_.horizon_epochs; ++e) {
-    if (!KeepGoing()) break;
+    if (!gate_.KeepGoing()) break;
     const auto start = std::chrono::steady_clock::now();
 
     const double t =
@@ -336,7 +231,7 @@ JsonValue Runner::Run() {
       const std::optional<SystemParams> p =
           CandidateParamsAt(population, k, window);
       if (!p.has_value()) continue;
-      lines.push_back(SweepRequestLine(*p, epoch_options, next_id_++));
+      lines.push_back(opt::PointRequestLine(*p, epoch_options, next_id_++));
       solved.emplace_back(window, k);
     }
     if (lines.empty()) {
@@ -347,7 +242,7 @@ JsonValue Runner::Run() {
     if (!Solve(lines, &responses)) break;
     if (metrics_) metrics_->candidates->Inc(lines.size());
     for (std::size_t i = 0; i < solved.size(); ++i) {
-      const double detection = ExtractSweepDetection(responses[i]);
+      const double detection = opt::PointDetection(responses[i]);
       if (detection < 0.0) {
         ++solve_errors_;
         if (metrics_) metrics_->solve_errors->Inc();
@@ -404,7 +299,7 @@ JsonValue Runner::Run() {
       if (truth.has_value()) {
         std::vector<std::string> vlines;
         vlines.push_back(
-            SweepRequestLine(*truth, spec_.options, next_id_++));
+            opt::PointRequestLine(*truth, spec_.options, next_id_++));
         if (spec_.sim_trials > 0) {
           const std::uint64_t vseed =
               seed_base.Substream(kValidateLabelBase +
@@ -420,7 +315,7 @@ JsonValue Runner::Run() {
           ++epochs_run;
           break;
         }
-        const double analytic = ExtractSweepDetection(vresponses[0]);
+        const double analytic = opt::PointDetection(vresponses[0]);
         if (analytic >= 0.0) {
           row.Set("analytic_alive", analytic);
         } else {
@@ -463,7 +358,7 @@ JsonValue Runner::Run() {
 
   JsonValue result = JsonValue::Object();
   result.Set("mode", AdaptModeName(spec_.mode))
-      .Set("degraded", degraded_)
+      .Set("degraded", gate_.degraded())
       .Set("held", held)
       .Set("epochs_run", epochs_run)
       .Set("horizon_epochs", spec_.horizon_epochs)
@@ -502,63 +397,9 @@ JsonValue HandleAdaptCommand(const JsonValue& command,
                              opt::SolveBackend& backend,
                              obs::MetricsRegistry* registry,
                              const AdaptHooks& hooks) {
-  JsonValue response = JsonValue::Object();
-  if (command.is_object()) {
-    const JsonValue* id = command.Find("id");
-    if (id != nullptr && (id->is_string() || id->is_number())) {
-      response.Set("id", *id);
-    }
-  }
-  try {
-    if (!command.is_object()) {
-      throw InvalidArgument("adapt command must be a JSON object");
-    }
-    for (const auto& [key, value] : command.Fields()) {
-      (void)value;
-      if (key != "cmd" && key != "id" && key != "tenant" && key != "spec") {
-        throw InvalidArgument("adapt command: unknown key \"" + key + "\"");
-      }
-    }
-    const JsonValue* spec_json = command.Find("spec");
-    if (spec_json == nullptr) {
-      throw InvalidArgument("adapt command: missing \"spec\" object");
-    }
-    const AdaptSpec spec = ParseAdaptSpec(*spec_json);
-    response.Set("result", AdaptRun(spec, backend, registry, hooks));
-  } catch (const resilience::Cancelled& e) {
-    response
-        .Set("error", std::string("adapt cancelled: ") +
-                          resilience::CancelReasonName(e.reason()))
-        .Set("error_code", CancelErrorCode(e.reason()));
-  } catch (const InvalidArgument& e) {
-    response.Set("error", std::string(e.what()))
-        .Set("error_code", "invalid_argument");
-  } catch (const Error& e) {
-    response.Set("error", std::string(e.what()))
-        .Set("error_code", "internal");
-  }
-  return response;
-}
-
-void WriteAdaptOutput(const JsonValue& result, std::ostream& out) {
-  const JsonValue* epochs =
-      result.is_object() ? result.Find("epochs") : nullptr;
-  if (epochs == nullptr) {
-    out << result.ToString() << '\n';
-    return;
-  }
-  for (const JsonValue& row : epochs->Items()) {
-    out << row.ToString() << '\n';
-  }
-  JsonValue summary = JsonValue::Object();
-  for (const auto& [key, value] : result.Fields()) {
-    if (key == "epochs") {
-      summary.Set("epochs_size", static_cast<std::int64_t>(value.Size()));
-    } else {
-      summary.Set(key, value);
-    }
-  }
-  out << summary.ToString() << '\n';
+  return opt::HandleLongCommand("adapt", command, [&](const JsonValue& spec) {
+    return AdaptRun(ParseAdaptSpec(spec), backend, registry, hooks);
+  });
 }
 
 }  // namespace sparsedet::adapt

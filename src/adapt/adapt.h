@@ -24,8 +24,6 @@
 // per-tenant buckets.
 #pragma once
 
-#include <ostream>
-
 #include "adapt/spec.h"
 #include "common/json.h"
 #include "obs/metrics.h"
@@ -82,18 +80,11 @@ JsonValue AdaptRun(const AdaptSpec& spec, opt::SolveBackend& backend,
                    obs::MetricsRegistry* registry = nullptr,
                    const AdaptHooks& hooks = {});
 
-// Handles one {"cmd": "adapt", "id": ..., "spec": {...}} command object
-// (serve and serve-tcp). Returns the response object: the echoed id plus
-// either {"result": <AdaptRun output>} or {"error", "error_code"} — the
-// optimizer's error vocabulary (deadline_exceeded / watchdog_cancelled /
-// disconnected / cancelled / invalid_argument / internal). Never throws.
+// opt::HandleLongCommand for {"cmd": "adapt"}: AdaptRun over the parsed
+// spec, with the optimizer's envelope and error vocabulary. Never throws.
 JsonValue HandleAdaptCommand(const JsonValue& command,
                              opt::SolveBackend& backend,
                              obs::MetricsRegistry* registry,
                              const AdaptHooks& hooks = {});
-
-// CLI rendering: one JSON line per epoch, then a summary line where the
-// epochs array is replaced by "epochs_size" (the frontier-output idiom).
-void WriteAdaptOutput(const JsonValue& result, std::ostream& out);
 
 }  // namespace sparsedet::adapt

@@ -1,128 +1,11 @@
 #include "adapt/spec.h"
 
-#include <cmath>
 #include <sstream>
-#include <vector>
 
 #include "common/error.h"
 #include "engine/request.h"
 
 namespace sparsedet::adapt {
-namespace {
-
-[[noreturn]] void FailKey(const std::string& section, const std::string& key,
-                          const std::string& message) {
-  std::ostringstream os;
-  os << "spec field \"" << (section.empty() ? key : section + "." + key)
-     << "\": " << message;
-  throw InvalidArgument(os.str());
-}
-
-// Strict typed field extraction, the request.cc idiom: every section lists
-// its allowed keys so a typo is named instead of silently ignored.
-void CheckKeys(const JsonValue& obj, const std::string& section,
-               const std::vector<std::string>& allowed) {
-  for (const auto& [key, value] : obj.Fields()) {
-    bool known = false;
-    for (const std::string& a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::ostringstream os;
-      os << "unknown spec field \""
-         << (section.empty() ? key : section + "." + key) << "\"";
-      throw InvalidArgument(os.str());
-    }
-  }
-}
-
-double GetNumber(const JsonValue& obj, const std::string& section,
-                 const std::string& key, double fallback) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) FailKey(section, key, "expected a number");
-  return v->AsDouble();
-}
-
-int GetInt(const JsonValue& obj, const std::string& section,
-           const std::string& key, int fallback) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) FailKey(section, key, "expected an integer");
-  const double d = v->AsDouble();
-  if (d != std::floor(d) || std::abs(d) > 1e9) {
-    FailKey(section, key, "expected an integer");
-  }
-  return static_cast<int>(d);
-}
-
-std::string GetString(const JsonValue& obj, const std::string& section,
-                      const std::string& key, const std::string& fallback) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_string()) FailKey(section, key, "expected a string");
-  return v->AsString();
-}
-
-// The optimizer's hostile-axis checks, restated for the (k, window) axes:
-// everything here is reachable from an untrusted {"cmd":"adapt"} network
-// request, so each axis must be provably small before anything is
-// materialized.
-opt::AxisSpec ParseAxis(const JsonValue& obj, const std::string& section) {
-  if (!obj.is_object()) FailKey("search", section, "expected an object");
-  CheckKeys(obj, "search." + section, {"from", "to", "step"});
-  opt::AxisSpec axis;
-  axis.set = true;
-  const std::string prefix = "search." + section;
-  const JsonValue* from = obj.Find("from");
-  if (from == nullptr) FailKey(prefix, "from", "required");
-  if (!from->is_number()) FailKey(prefix, "from", "expected a number");
-  axis.from = from->AsDouble();
-  const JsonValue* to = obj.Find("to");
-  if (to == nullptr) FailKey(prefix, "to", "required");
-  if (!to->is_number()) FailKey(prefix, "to", "expected a number");
-  axis.to = to->AsDouble();
-  axis.step = GetNumber(obj, prefix, "step", 1.0);
-  if (!std::isfinite(axis.from) || std::abs(axis.from) > 1e9) {
-    FailKey(prefix, "from", "expected finite in [-1e9, 1e9]");
-  }
-  if (!std::isfinite(axis.to) || std::abs(axis.to) > 1e9) {
-    FailKey(prefix, "to", "expected finite in [-1e9, 1e9]");
-  }
-  if (!std::isfinite(axis.step) || !(axis.step > 0.0)) {
-    FailKey(prefix, "step", "expected > 0");
-  }
-  if (axis.to < axis.from) FailKey(prefix, "to", "expected >= from");
-  if (axis.from != std::floor(axis.from)) {
-    FailKey(prefix, "from", "expected an integer");
-  }
-  if (axis.step != std::floor(axis.step)) {
-    FailKey(prefix, "step", "expected an integer");
-  }
-  if (axis.from < 1.0) FailKey(prefix, "from", "expected >= 1");
-  if (axis.from + axis.step == axis.from ||
-      axis.to + axis.step == axis.to) {
-    FailKey(prefix, "step", "too small to advance the axis");
-  }
-  if (axis.Count() > opt::kMaxGridCandidates) {
-    std::ostringstream os;
-    os << "axis expands to more than " << opt::kMaxGridCandidates
-       << " values";
-    FailKey(prefix, "step", os.str());
-  }
-  return axis;
-}
-
-JsonValue AxisToJson(const opt::AxisSpec& axis) {
-  JsonValue json = JsonValue::Object();
-  json.Set("from", axis.from).Set("to", axis.to).Set("step", axis.step);
-  return json;
-}
-
-}  // namespace
 
 std::string AdaptModeName(AdaptMode mode) {
   return mode == AdaptMode::kClosedLoop ? "closed_loop" : "analyze";
@@ -136,173 +19,135 @@ AdaptSpec ParseAdaptSpec(const JsonValue& json) {
   if (!json.is_object()) {
     throw InvalidArgument("adapt spec must be a JSON object");
   }
-  CheckKeys(json, "",
-            {"mode", "params", "options", "failure", "horizon_epochs",
-             "epoch_periods", "constraints", "search", "controller",
-             "estimator", "sim", "deadline_ms"});
+  const engine::FieldReader r(
+      json, "spec", "",
+      {"mode", "params", "options", "failure", "horizon_epochs",
+       "epoch_periods", "constraints", "search", "controller", "estimator",
+       "sim", "deadline_ms"});
 
   AdaptSpec spec;
-  const std::string mode = GetString(json, "", "mode", "analyze");
+  const std::string mode = r.String("mode", "analyze");
   if (mode == "analyze") {
     spec.mode = AdaptMode::kAnalyze;
   } else if (mode == "closed_loop") {
     spec.mode = AdaptMode::kClosedLoop;
   } else {
-    FailKey("", "mode", "expected \"analyze\" or \"closed_loop\"");
+    r.FailKey("mode", "expected \"analyze\" or \"closed_loop\"");
   }
 
-  if (const JsonValue* params = json.Find("params")) {
-    if (!params->is_object()) FailKey("", "params", "expected an object");
+  if (const JsonValue* params = r.Object("params")) {
     spec.params = engine::ParseParamsSection(*params);
   }
-  if (const JsonValue* options = json.Find("options")) {
-    if (!options->is_object()) FailKey("", "options", "expected an object");
+  if (const JsonValue* options = r.Object("options")) {
     spec.options = engine::ParseOptionsSection(*options);
   }
 
-  if (const JsonValue* failure = json.Find("failure")) {
-    if (!failure->is_object()) FailKey("", "failure", "expected an object");
-    CheckKeys(*failure, "failure",
-              {"model", "mean_lifetime_s", "shape", "report_loss"});
-    const std::string model =
-        GetString(*failure, "failure", "model", "exponential");
+  if (const auto f = r.Section("failure", {"model", "mean_lifetime_s",
+                                           "shape", "report_loss"})) {
+    const std::string model = f->String("model", "exponential");
     if (model == "exponential") {
       spec.failure.kind = FailureKind::kExponential;
     } else if (model == "weibull") {
       spec.failure.kind = FailureKind::kWeibull;
     } else {
-      FailKey("failure", "model", "expected \"exponential\" or \"weibull\"");
+      f->FailKey("model", "expected \"exponential\" or \"weibull\"");
     }
-    spec.failure.mean_lifetime_s = GetNumber(
-        *failure, "failure", "mean_lifetime_s", spec.failure.mean_lifetime_s);
-    spec.failure.weibull_shape =
-        GetNumber(*failure, "failure", "shape", spec.failure.weibull_shape);
-    spec.failure.report_loss_prob = GetNumber(
-        *failure, "failure", "report_loss", spec.failure.report_loss_prob);
+    spec.failure.mean_lifetime_s =
+        f->Number("mean_lifetime_s", spec.failure.mean_lifetime_s);
+    spec.failure.weibull_shape = f->Number("shape", spec.failure.weibull_shape);
+    spec.failure.report_loss_prob =
+        f->Number("report_loss", spec.failure.report_loss_prob);
     try {
       spec.failure.Validate();
     } catch (const InvalidArgument& e) {
-      FailKey("", "failure", e.what());
+      r.FailKey("failure", e.what());
     }
   }
 
-  spec.horizon_epochs =
-      GetInt(json, "", "horizon_epochs", spec.horizon_epochs);
+  spec.horizon_epochs = r.Int("horizon_epochs", spec.horizon_epochs);
   if (spec.horizon_epochs < 1 || spec.horizon_epochs > kMaxHorizonEpochs) {
     std::ostringstream os;
     os << "expected in [1, " << kMaxHorizonEpochs << "]";
-    FailKey("", "horizon_epochs", os.str());
+    r.FailKey("horizon_epochs", os.str());
   }
-  spec.epoch_periods = GetInt(json, "", "epoch_periods", spec.epoch_periods);
+  spec.epoch_periods = r.Int("epoch_periods", spec.epoch_periods);
   if (spec.epoch_periods < 0 || spec.epoch_periods > 100000) {
-    FailKey("", "epoch_periods", "expected in [0, 100000]");
+    r.FailKey("epoch_periods", "expected in [0, 100000]");
   }
 
-  if (const JsonValue* constraints = json.Find("constraints")) {
-    if (!constraints->is_object()) {
-      FailKey("", "constraints", "expected an object");
-    }
-    CheckKeys(*constraints, "constraints", {"min_detection", "pf", "max_fa"});
-    spec.min_detection = GetNumber(*constraints, "constraints",
-                                   "min_detection", spec.min_detection);
-    spec.pf = GetNumber(*constraints, "constraints", "pf", spec.pf);
-    spec.max_fa =
-        GetNumber(*constraints, "constraints", "max_fa", spec.max_fa);
+  if (const auto c =
+          r.Section("constraints", {"min_detection", "pf", "max_fa"})) {
+    spec.min_detection = c->Number("min_detection", spec.min_detection);
+    spec.pf = c->Number("pf", spec.pf);
+    spec.max_fa = c->Number("max_fa", spec.max_fa);
     if (spec.min_detection < 0.0 || spec.min_detection > 1.0) {
-      FailKey("constraints", "min_detection", "expected in [0, 1]");
+      c->FailKey("min_detection", "expected in [0, 1]");
     }
-    if (spec.pf < 0.0 || spec.pf > 1.0) {
-      FailKey("constraints", "pf", "expected in [0, 1]");
-    }
+    if (spec.pf < 0.0 || spec.pf > 1.0) c->FailKey("pf", "expected in [0, 1]");
     if (spec.max_fa < 0.0 || spec.max_fa > 1.0) {
-      FailKey("constraints", "max_fa", "expected in [0, 1]");
+      c->FailKey("max_fa", "expected in [0, 1]");
     }
   }
 
-  if (const JsonValue* search = json.Find("search")) {
-    if (!search->is_object()) FailKey("", "search", "expected an object");
-    CheckKeys(*search, "search", {"k", "window"});
-    if (const JsonValue* axis = search->Find("k")) {
-      spec.k = ParseAxis(*axis, "k");
+  if (const auto search = r.Section("search", {"k", "window"})) {
+    spec.k = opt::ParseAxis(*search, "k", /*integer=*/true);
+    if (spec.k.set && spec.k.from < 1.0) {
+      search->FailKey("k.from", "expected >= 1");
     }
-    if (const JsonValue* axis = search->Find("window")) {
-      spec.window = ParseAxis(*axis, "window");
+    spec.window = opt::ParseAxis(*search, "window", /*integer=*/true);
+    if (spec.window.set && spec.window.from < 1.0) {
+      search->FailKey("window.from", "expected >= 1");
     }
   }
 
-  if (const JsonValue* controller = json.Find("controller")) {
-    if (!controller->is_object()) {
-      FailKey("", "controller", "expected an object");
-    }
-    CheckKeys(*controller, "controller", {"margin", "min_dwell_epochs"});
-    spec.margin = GetNumber(*controller, "controller", "margin", spec.margin);
-    spec.min_dwell_epochs = GetInt(*controller, "controller",
-                                   "min_dwell_epochs", spec.min_dwell_epochs);
+  if (const auto c =
+          r.Section("controller", {"margin", "min_dwell_epochs"})) {
+    spec.margin = c->Number("margin", spec.margin);
+    spec.min_dwell_epochs = c->Int("min_dwell_epochs", spec.min_dwell_epochs);
     if (spec.margin < 0.0 || spec.margin > 1.0) {
-      FailKey("controller", "margin", "expected in [0, 1]");
+      c->FailKey("margin", "expected in [0, 1]");
     }
     if (spec.min_dwell_epochs < 0 || spec.min_dwell_epochs > 1000) {
-      FailKey("controller", "min_dwell_epochs", "expected in [0, 1000]");
+      c->FailKey("min_dwell_epochs", "expected in [0, 1000]");
     }
   }
 
-  if (const JsonValue* estimator = json.Find("estimator")) {
-    if (!estimator->is_object()) {
-      FailKey("", "estimator", "expected an object");
-    }
-    CheckKeys(*estimator, "estimator", {"source", "windows", "z"});
-    const std::string source =
-        GetString(*estimator, "estimator", "source", "oracle");
+  if (const auto e = r.Section("estimator", {"source", "windows", "z"})) {
+    const std::string source = e->String("source", "oracle");
     if (source == "oracle") {
       spec.estimate_from_reports = false;
     } else if (source == "reports") {
       spec.estimate_from_reports = true;
     } else {
-      FailKey("estimator", "source", "expected \"oracle\" or \"reports\"");
+      e->FailKey("source", "expected \"oracle\" or \"reports\"");
     }
-    spec.estimator_windows =
-        GetInt(*estimator, "estimator", "windows", spec.estimator_windows);
-    spec.estimator_z =
-        GetNumber(*estimator, "estimator", "z", spec.estimator_z);
+    spec.estimator_windows = e->Int("windows", spec.estimator_windows);
+    spec.estimator_z = e->Number("z", spec.estimator_z);
     if (spec.estimator_windows < 1 || spec.estimator_windows > 64) {
-      FailKey("estimator", "windows", "expected in [1, 64]");
+      e->FailKey("windows", "expected in [1, 64]");
     }
     if (!(spec.estimator_z > 0.0) || spec.estimator_z > 10.0) {
-      FailKey("estimator", "z", "expected in (0, 10]");
+      e->FailKey("z", "expected in (0, 10]");
     }
   }
 
-  if (const JsonValue* sim = json.Find("sim")) {
-    if (!sim->is_object()) FailKey("", "sim", "expected an object");
-    CheckKeys(*sim, "sim", {"seed", "trials"});
-    const double seed = GetNumber(*sim, "sim", "seed",
-                                  static_cast<double>(spec.sim_seed));
-    if (seed < 0 || seed != std::floor(seed) || seed > 9.0e15) {
-      FailKey("sim", "seed", "expected a non-negative integer");
-    }
-    spec.sim_seed = static_cast<std::uint64_t>(seed);
-    spec.sim_trials = GetInt(*sim, "sim", "trials", spec.sim_trials);
+  if (const auto sim = r.Section("sim", {"seed", "trials"})) {
+    spec.sim_seed = static_cast<std::uint64_t>(sim->NonNegativeInt(
+        "seed", static_cast<std::int64_t>(spec.sim_seed)));
+    spec.sim_trials = sim->Int("trials", spec.sim_trials);
     if (spec.sim_trials < 0 || spec.sim_trials > 1000000) {
-      FailKey("sim", "trials", "expected in [0, 1000000]");
+      sim->FailKey("trials", "expected in [0, 1000000]");
     }
   }
 
-  const double deadline = GetNumber(json, "", "deadline_ms",
-                                    static_cast<double>(spec.deadline_ms));
-  // The 9.0e15 bound matches the engine request parser: every accepted
-  // value is exactly representable in int64_t, so the cast below is safe.
-  if (deadline < 0.0 || deadline != std::floor(deadline) ||
-      deadline > 9.0e15) {
-    FailKey("", "deadline_ms", "expected a non-negative integer");
-  }
-  spec.deadline_ms = static_cast<std::int64_t>(deadline);
+  spec.deadline_ms = r.NonNegativeInt("deadline_ms", spec.deadline_ms);
 
   // The estimator can only invert the report PMF when there are reports
   // to observe: the quiescent rate is pf (thinned by transport loss).
   if (spec.estimate_from_reports && !(spec.pf > 0.0)) {
-    FailKey("estimator", "source",
-            "\"reports\" requires constraints.pf > 0 (the quiescent report "
-            "rate); use estimator.source \"oracle\" for a lossless census");
+    r.FailKey("estimator.source",
+              "\"reports\" requires constraints.pf > 0 (the quiescent report "
+              "rate); use estimator.source \"oracle\" for a lossless census");
   }
 
   // Total inner solves are bounded the same way the optimizer bounds its
@@ -325,24 +170,6 @@ AdaptSpec ParseAdaptSpec(const JsonValue& json) {
 }
 
 JsonValue SpecToJson(const AdaptSpec& spec) {
-  JsonValue params = JsonValue::Object();
-  params.Set("field_width", spec.params.field_width)
-      .Set("field_height", spec.params.field_height)
-      .Set("nodes", spec.params.num_nodes)
-      .Set("rs", spec.params.sensing_range)
-      .Set("rc", spec.params.comm_range)
-      .Set("pd", spec.params.detect_prob)
-      .Set("period", spec.params.period_length)
-      .Set("speed", spec.params.target_speed)
-      .Set("window", spec.params.window_periods)
-      .Set("k", spec.params.threshold_reports);
-
-  JsonValue options = JsonValue::Object();
-  options.Set("gh", spec.options.gh)
-      .Set("g", spec.options.g)
-      .Set("normalize", spec.options.normalize)
-      .Set("reliability", spec.options.node_reliability);
-
   JsonValue failure = JsonValue::Object();
   failure.Set("model", std::string(FailureKindName(spec.failure.kind)))
       .Set("mean_lifetime_s", spec.failure.mean_lifetime_s)
@@ -355,8 +182,8 @@ JsonValue SpecToJson(const AdaptSpec& spec) {
       .Set("max_fa", spec.max_fa);
 
   JsonValue search = JsonValue::Object();
-  if (spec.k.set) search.Set("k", AxisToJson(spec.k));
-  if (spec.window.set) search.Set("window", AxisToJson(spec.window));
+  if (spec.k.set) search.Set("k", opt::AxisToJson(spec.k));
+  if (spec.window.set) search.Set("window", opt::AxisToJson(spec.window));
 
   JsonValue controller = JsonValue::Object();
   controller.Set("margin", spec.margin)
@@ -375,8 +202,8 @@ JsonValue SpecToJson(const AdaptSpec& spec) {
 
   JsonValue json = JsonValue::Object();
   json.Set("mode", AdaptModeName(spec.mode))
-      .Set("params", std::move(params))
-      .Set("options", std::move(options))
+      .Set("params", engine::ParamsToJson(spec.params))
+      .Set("options", engine::OptionsToJson(spec.options))
       .Set("failure", std::move(failure))
       .Set("horizon_epochs", spec.horizon_epochs)
       .Set("epoch_periods", spec.epoch_periods)

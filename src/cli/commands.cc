@@ -5,8 +5,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <memory>
-#include <numbers>
 #include <sstream>
 
 #include "adapt/adapt.h"
@@ -23,6 +21,7 @@
 #include "core/latency.h"
 #include "core/ms_approach.h"
 #include "engine/engine.h"
+#include "engine/request.h"
 #include "obs/log.h"
 #include "opt/backend.h"
 #include "opt/optimizer.h"
@@ -68,6 +67,12 @@ SystemParams ParseScenario(FlagParser& flags) {
       flags.GetInt("k", p.threshold_reports, "reports required within M");
   return p;
 }
+
+// The flags ParseScenario and ParseMsOptions read.
+constexpr const char* kScenarioFlags[] = {
+    "field-width", "field-height", "nodes",     "rs", "rc", "pd",
+    "period",      "speed",        "window",    "k",  "gh", "g",
+    "normalize",   "reliability"};
 
 MsApproachOptions ParseMsOptions(FlagParser& flags) {
   MsApproachOptions opt;
@@ -178,6 +183,96 @@ opt::AxisSpec ParseAxisFlag(FlagParser& flags, const std::string& name,
   return axis;
 }
 
+// The flags every spec-driven command (optimize, adapt) ends with; reading
+// them finishes the parse.
+struct SpecRunFlags {
+  std::string spec_path;
+  int deadline_ms = 0;
+  std::string memo_snapshot;
+  engine::EngineOptions options;
+};
+
+SpecRunFlags ParseSpecRunFlags(FlagParser& flags, const std::string& command) {
+  SpecRunFlags run;
+  run.spec_path = flags.GetString(
+      "spec", "", command + " spec JSON file (replaces spec-building flags)");
+  run.deadline_ms = flags.GetInt(
+      "deadline-ms", 0,
+      "wall-clock budget; expiry yields a degraded partial result");
+  run.memo_snapshot = flags.GetString(
+      "memo-snapshot", "",
+      "memo-cache snapshot file: load before the run, save after");
+  run.options = ParseEngineOptions(flags);
+  flags.Finish();
+  return run;
+}
+
+// The runner behind optimize and adapt. The spec comes from --spec, which
+// conflicts with the scenario flags and every flag in `spec_flags` (only
+// --deadline-ms may override it), or from the flags, re-parsed through
+// the canonical JSON so both paths get exactly the file-spec validation.
+// `solve` runs on a private engine behind a SyncEngineBackend, with the
+// memo snapshot (if any) loaded before and saved after, and the result is
+// printed rows-then-summary. Degraded (deadline) partials exit 0 — the
+// result says so; a run that finished with its `goal_key` false or 0 (no
+// feasible candidate, floor not held) exits 1.
+template <typename Spec>
+int RunSpecCommand(
+    const FlagParser& flags, const SpecRunFlags& run, Spec spec,
+    std::initializer_list<const char*> spec_flags,
+    Spec (*parse)(const JsonValue&), JsonValue (*to_json)(const Spec&),
+    const std::function<JsonValue(const Spec&, opt::SolveBackend&,
+                                  obs::MetricsRegistry*)>& solve,
+    const std::string& rows_key, const std::string& goal_key,
+    std::ostream& out) {
+  spec.deadline_ms = run.deadline_ms;
+  Spec parsed;
+  if (!run.spec_path.empty()) {
+    const auto reject = [&](const char* name) {
+      SPARSEDET_REQUIRE(!flags.Provided(name),
+                        std::string("--") + name +
+                            " conflicts with --spec (the file is the whole "
+                            "spec)");
+    };
+    for (const char* name : kScenarioFlags) reject(name);
+    for (const char* name : spec_flags) reject(name);
+    std::ifstream file(run.spec_path);
+    SPARSEDET_REQUIRE(file.good(), "cannot open --spec " + run.spec_path);
+    std::ostringstream text;
+    text << file.rdbuf();
+    parsed = parse(ParseJson(text.str()));
+    if (flags.Provided("deadline-ms")) {
+      SPARSEDET_REQUIRE(run.deadline_ms >= 0, "--deadline-ms must be >= 0");
+      parsed.deadline_ms = run.deadline_ms;
+    }
+  } else {
+    parsed = parse(to_json(spec));
+  }
+
+  if (!run.memo_snapshot.empty()) {
+    try {
+      prob::LoadMemoSnapshot(prob::MemoCache::Global(), run.memo_snapshot);
+    } catch (const Error&) {
+      // A missing or stale snapshot is a cold start, not a failure.
+    }
+  }
+  engine::BatchEngine batch_engine(run.options);
+  opt::SyncEngineBackend backend(batch_engine);
+  const JsonValue result = solve(parsed, backend, &batch_engine.registry());
+  opt::WriteRowsThenSummary(result, rows_key, out);
+  out.flush();
+  if (!run.memo_snapshot.empty()) {
+    prob::SaveMemoSnapshot(prob::MemoCache::Global(), run.memo_snapshot);
+  }
+
+  const JsonValue* goal = result.Find(goal_key);
+  const JsonValue* degraded = result.Find("degraded");
+  const bool missed = goal != nullptr && (goal->is_bool()
+                                              ? !goal->AsBool()
+                                              : goal->AsDouble() == 0.0);
+  return missed && degraded != nullptr && !degraded->AsBool() ? 1 : 0;
+}
+
 // SIGTERM/SIGINT target for serve-tcp. RequestDrain() is async-signal-safe
 // (a single eventfd write), so this handler is too.
 server::TcpServer* g_drain_target = nullptr;
@@ -186,9 +281,13 @@ void HandleDrainSignal(int) {
   if (g_drain_target != nullptr) g_drain_target->RequestDrain();
 }
 
-int Guard(std::ostream& err, const std::function<int()>& body) {
+int Guard(std::ostream& out, std::ostream& err,
+          const std::function<int()>& body) {
   try {
     return body();
+  } catch (const HelpRequested& help) {
+    out << help.usage();
+    return 0;
   } catch (const InvalidArgument& e) {
     err << "error: " << e.what() << "\n";
     return 2;
@@ -202,7 +301,7 @@ int Guard(std::ostream& err, const std::function<int()>& body) {
 
 int CmdAnalyze(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
     const SystemParams params = ParseScenario(flags);
@@ -214,25 +313,7 @@ int CmdAnalyze(const std::vector<std::string>& args, std::ostream& out,
                       "--format must be text or json");
     const ScenarioReport report = AnalyzeScenario(params, options);
     if (format == "json") {
-      JsonValue json = JsonValue::Object();
-      json.Set("nodes", params.num_nodes)
-          .Set("speed_mps", params.target_speed)
-          .Set("k", params.threshold_reports)
-          .Set("window_periods", params.window_periods)
-          .Set("ms", report.ms)
-          .Set("detection_probability", report.detection_probability)
-          .Set("exact_detection_probability",
-               report.exact_detection_probability)
-          .Set("unnormalized_detection_probability",
-               report.unnormalized_detection_probability)
-          .Set("predicted_accuracy", report.predicted_accuracy)
-          .Set("single_period_detection", report.single_period_detection)
-          .Set("instantaneous_detection", report.instantaneous_detection)
-          .Set("required_gh_99", report.required_caps_99.gh)
-          .Set("required_g_99", report.required_caps_99.g)
-          .Set("ms_states", report.ms_states)
-          .Set("t_approach_states", report.t_approach_states);
-      out << json.ToString() << "\n";
+      out << engine::AnalyzeToJson(params, report).ToString() << "\n";
     } else {
       out << report.Summary();
     }
@@ -242,62 +323,50 @@ int CmdAnalyze(const std::vector<std::string>& args, std::ostream& out,
 
 int CmdSimulate(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
-    TrialConfig config;
-    config.params = ParseScenario(flags);
-
-    MonteCarloOptions mc;
-    mc.trials = flags.GetInt("trials", 10000, "Monte-Carlo trials");
-    mc.seed = static_cast<std::uint64_t>(
+    engine::WorkUnit unit;
+    unit.op = engine::RequestOp::kSimulate;
+    unit.params = ParseScenario(flags);
+    engine::SimulateSpec& sim = unit.sim;
+    sim.trials = flags.GetInt("trials", 10000, "Monte-Carlo trials");
+    sim.seed = static_cast<std::uint64_t>(
         flags.GetInt("seed", 20080617, "base RNG seed"));
-    config.false_alarm_prob = flags.GetDouble(
+    sim.false_alarm_prob = flags.GetDouble(
         "pf", 0.0, "per-node per-period false alarm probability");
-    config.node_reliability =
+    sim.node_reliability =
         flags.GetDouble("reliability", 1.0, "node survival probability");
-    const std::string motion = flags.GetString(
-        "motion", "straight", "target motion: straight | random-walk");
-    const std::string geometry = flags.GetString(
-        "geometry", "toroidal", "sensing geometry: toroidal | planar");
-    const int h =
+    sim.motion = flags.GetString("motion", "straight",
+                                 "target motion: straight | random-walk");
+    sim.geometry = flags.GetString("geometry", "toroidal",
+                                   "sensing geometry: toroidal | planar");
+    sim.distinct_nodes =
         flags.GetInt("h", 1, "distinct reporting nodes required (>= 1)");
     const std::string format =
         flags.GetString("format", "text", "output format: text | json");
     flags.Finish();
     SPARSEDET_REQUIRE(format == "text" || format == "json",
                       "--format must be text or json");
-
-    config.geometry = geometry == "planar" ? SensingGeometry::kPlanar
-                                           : SensingGeometry::kToroidal;
-    SPARSEDET_REQUIRE(geometry == "planar" || geometry == "toroidal",
+    SPARSEDET_REQUIRE(sim.geometry == "planar" || sim.geometry == "toroidal",
                       "--geometry must be toroidal or planar");
-    std::unique_ptr<MotionModel> model;
-    if (motion == "random-walk") {
-      model = std::make_unique<RandomWalkMotion>(std::numbers::pi / 4.0);
-    } else {
-      SPARSEDET_REQUIRE(motion == "straight",
-                        "--motion must be straight or random-walk");
-      model = std::make_unique<StraightLineMotion>();
-    }
-    config.motion = model.get();
+    SPARSEDET_REQUIRE(sim.motion == "straight" || sim.motion == "random-walk",
+                      "--motion must be straight or random-walk");
 
-    const ProportionEstimate est =
-        h > 1 ? EstimateKNodeDetectionProbability(config, h, mc)
-              : EstimateDetectionProbability(config, mc);
+    const JsonValue est = engine::EvaluateUnit(unit);
     if (format == "json") {
-      JsonValue json = JsonValue::Object();
-      json.Set("trials", est.trials)
-          .Set("detections", est.successes)
-          .Set("detection_probability", est.point)
-          .Set("ci_lo", est.lo)
-          .Set("ci_hi", est.hi);
-      out << json.ToString() << "\n";
+      out << est.ToString() << "\n";
     } else {
-      out << "trials            : " << est.trials << "\n"
-          << "detections        : " << est.successes << "\n"
-          << "P[detect]         : " << est.point << "\n"
-          << "95% Wilson CI     : [" << est.lo << ", " << est.hi << "]\n";
+      const auto field = [&](const char* key) {
+        return est.Find(key)->AsDouble();
+      };
+      out << "trials            : "
+          << static_cast<std::int64_t>(field("trials")) << "\n"
+          << "detections        : "
+          << static_cast<std::int64_t>(field("detections")) << "\n"
+          << "P[detect]         : " << field("detection_probability") << "\n"
+          << "95% Wilson CI     : [" << field("ci_lo") << ", "
+          << field("ci_hi") << "]\n";
     }
     return 0;
   });
@@ -305,7 +374,7 @@ int CmdSimulate(const std::vector<std::string>& args, std::ostream& out,
 
 int CmdPlan(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
     SystemParams params = ParseScenario(flags);
@@ -353,7 +422,7 @@ int CmdPlan(const std::vector<std::string>& args, std::ostream& out,
 
 int CmdFa(const std::vector<std::string>& args, std::ostream& out,
           std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
     SystemParams params = ParseScenario(flags);
@@ -381,7 +450,7 @@ int CmdFa(const std::vector<std::string>& args, std::ostream& out,
 
 int CmdSweep(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
     const SystemParams base = ParseScenario(flags);
@@ -399,31 +468,19 @@ int CmdSweep(const std::vector<std::string>& args, std::ostream& out,
     flags.Finish();
     SPARSEDET_REQUIRE(step > 0.0, "--step must be positive");
     SPARSEDET_REQUIRE(to >= from, "--to must be >= --from");
-
-    auto apply = [&](SystemParams& p, double value) {
-      if (param == "nodes") {
-        p.num_nodes = static_cast<int>(value);
-      } else if (param == "speed") {
-        p.target_speed = value;
-      } else if (param == "k") {
-        p.threshold_reports = static_cast<int>(value);
-      } else if (param == "window") {
-        p.window_periods = static_cast<int>(value);
-      } else if (param == "rs") {
-        p.sensing_range = value;
-      } else if (param == "pd") {
-        p.detect_prob = value;
-      } else {
-        SPARSEDET_REQUIRE(false, "unknown --param: " + param);
-      }
-    };
+    SPARSEDET_REQUIRE(engine::IsSweepParam(param),
+                      "unknown --param: " + param);
+    // The engine's grid, so the CLI shares its point cap (which also stops
+    // a step too small to advance the value).
+    const std::vector<double> values =
+        engine::SweepValues(engine::SweepSpec{param, from, to, step});
 
     std::vector<std::string> columns{param, "analysis"};
     if (trials > 0) columns.push_back("simulation");
     Table table(columns);
-    for (double value = from; value <= to + 1e-9; value += step) {
+    for (double value : values) {
       SystemParams p = base;
-      apply(p, value);
+      engine::ApplySweepValue(p, param, value);
       table.BeginRow();
       table.AddNumber(value, param == "pd" ? 3 : 0);
       table.AddNumber(MsApproachAnalyze(p, options).detection_probability,
@@ -448,7 +505,7 @@ int CmdSweep(const std::vector<std::string>& args, std::ostream& out,
 
 int CmdLatency(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
     const SystemParams params = ParseScenario(flags);
@@ -470,7 +527,7 @@ int CmdLatency(const std::vector<std::string>& args, std::ostream& out,
 
 int CmdTrace(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
     TrialConfig config;
@@ -496,7 +553,7 @@ int CmdTrace(const std::vector<std::string>& args, std::ostream& out,
 
 int CmdBatch(const std::vector<std::string>& args, std::istream& in,
              std::ostream& out, std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
     const std::string input = flags.GetString(
@@ -530,7 +587,7 @@ int CmdBatch(const std::vector<std::string>& args, std::istream& in,
 
 int CmdServe(const std::vector<std::string>& args, std::istream& in,
              std::ostream& out, std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
     engine::EngineOptions options = ParseEngineOptions(flags);
@@ -577,7 +634,7 @@ int CmdServe(const std::vector<std::string>& args, std::istream& in,
 
 int CmdOptimize(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
 
@@ -631,16 +688,7 @@ int CmdOptimize(const std::vector<std::string>& args, std::ostream& out,
         "refine-rounds", spec.refine_rounds,
         "step-halving local refinement rounds after the coarse sweep");
 
-    const std::string spec_path = flags.GetString(
-        "spec", "", "optimize spec JSON file (replaces spec-building flags)");
-    const int deadline_ms = flags.GetInt(
-        "deadline-ms", 0,
-        "wall-clock budget; expiry yields a degraded partial result");
-    const std::string memo_snapshot = flags.GetString(
-        "memo-snapshot", "",
-        "memo-cache snapshot file: load before the search, save after");
-    engine::EngineOptions options = ParseEngineOptions(flags);
-    flags.Finish();
+    const SpecRunFlags run = ParseSpecRunFlags(flags, "optimize");
 
     if (objective == "min_nodes") {
       spec.objective = opt::Objective::kMinNodes;
@@ -659,75 +707,24 @@ int CmdOptimize(const std::vector<std::string>& args, std::ostream& out,
     } else {
       throw InvalidArgument("--mode must be optimize or frontier");
     }
-    spec.deadline_ms = deadline_ms;
-
-    opt::OptimizeSpec parsed;
-    if (!spec_path.empty()) {
-      static const char* kSpecFlags[] = {
-          "field-width", "field-height", "nodes",        "rs",
-          "rc",          "pd",           "period",       "speed",
-          "window",      "k",            "gh",           "g",
-          "normalize",   "reliability",  "objective",    "mode",
-          "min-detection", "pf",         "max-fa",       "min-lifetime-days",
-          "search-nodes", "search-k",    "search-window", "search-period",
-          "search-duty", "battery",      "sense-cost",   "idle-cost",
-          "tx-cost",     "rx-cost",      "hops",         "refine-rounds"};
-      for (const char* name : kSpecFlags) {
-        SPARSEDET_REQUIRE(!flags.Provided(name),
-                          std::string("--") + name +
-                              " conflicts with --spec (the file is the "
-                              "whole spec)");
-      }
-      std::ifstream file(spec_path);
-      SPARSEDET_REQUIRE(file.good(), "cannot open --spec " + spec_path);
-      std::ostringstream text;
-      text << file.rdbuf();
-      parsed = opt::ParseOptimizeSpec(ParseJson(text.str()));
-      if (flags.Provided("deadline-ms")) {
-        SPARSEDET_REQUIRE(deadline_ms >= 0, "--deadline-ms must be >= 0");
-        parsed.deadline_ms = deadline_ms;
-      }
-    } else {
-      // One parse path: flag-built specs round-trip through the canonical
-      // JSON so they get exactly the file-spec validation (domains, grid
-      // cap) and nothing can drift.
-      parsed = opt::ParseOptimizeSpec(opt::SpecToJson(spec));
-    }
-
-    if (!memo_snapshot.empty()) {
-      try {
-        prob::LoadMemoSnapshot(prob::MemoCache::Global(), memo_snapshot);
-      } catch (const Error&) {
-        // A missing or stale snapshot is a cold start, not a failure.
-      }
-    }
-
-    engine::BatchEngine batch_engine(options);
-    opt::SyncEngineBackend backend(batch_engine);
-    opt::Optimizer optimizer(parsed, backend, &batch_engine.registry());
-    const JsonValue result = optimizer.Run();
-    opt::WriteOptimizeOutput(result, out);
-    out.flush();
-
-    if (!memo_snapshot.empty()) {
-      prob::SaveMemoSnapshot(prob::MemoCache::Global(), memo_snapshot);
-    }
-
-    // Degraded (deadline) partials still exit 0 — the result says so; a
-    // search that ran to completion and found nothing feasible exits 1.
-    const JsonValue* feasible = result.Find("feasible");
-    const JsonValue* degraded = result.Find("degraded");
-    if (feasible != nullptr && feasible->AsDouble() == 0.0 &&
-        degraded != nullptr && !degraded->AsBool()) {
-      return 1;
-    }
-    return 0;
+    return RunSpecCommand<opt::OptimizeSpec>(
+        flags, run, spec,
+        {"objective", "mode", "min-detection", "pf", "max-fa",
+         "min-lifetime-days", "search-nodes", "search-k", "search-window",
+         "search-period", "search-duty", "battery", "sense-cost", "idle-cost",
+         "tx-cost", "rx-cost", "hops", "refine-rounds"},
+        opt::ParseOptimizeSpec, opt::SpecToJson,
+        [](const opt::OptimizeSpec& parsed, opt::SolveBackend& backend,
+           obs::MetricsRegistry* registry) {
+          return opt::Optimizer(parsed, backend, registry).Run();
+        },
+        "frontier", "feasible", out);
   });
 }
 
 int CmdAdapt(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
 
@@ -791,16 +788,7 @@ int CmdAdapt(const std::vector<std::string>& args, std::ostream& out,
         "trials", spec.sim_trials,
         "per-epoch Monte-Carlo validation trials (0 = skip)");
 
-    const std::string spec_path = flags.GetString(
-        "spec", "", "adapt spec JSON file (replaces spec-building flags)");
-    const int deadline_ms = flags.GetInt(
-        "deadline-ms", 0,
-        "wall-clock budget; expiry yields a degraded partial result");
-    const std::string memo_snapshot = flags.GetString(
-        "memo-snapshot", "",
-        "memo-cache snapshot file: load before the run, save after");
-    engine::EngineOptions options = ParseEngineOptions(flags);
-    flags.Finish();
+    const SpecRunFlags run = ParseSpecRunFlags(flags, "adapt");
 
     if (mode == "analyze") {
       spec.mode = adapt::AdaptMode::kAnalyze;
@@ -827,78 +815,24 @@ int CmdAdapt(const std::vector<std::string>& args, std::ostream& out,
     SPARSEDET_REQUIRE(seed >= 0 && seed == std::floor(seed) && seed <= 9.0e15,
                       "--seed must be a non-negative integer");
     spec.sim_seed = static_cast<std::uint64_t>(seed);
-    spec.deadline_ms = deadline_ms;
-
-    adapt::AdaptSpec parsed;
-    if (!spec_path.empty()) {
-      static const char* kSpecFlags[] = {
-          "field-width",  "field-height",      "nodes",
-          "rs",           "rc",                "pd",
-          "period",       "speed",             "window",
-          "k",            "gh",                "g",
-          "normalize",    "reliability",       "mode",
-          "failure-model", "mean-lifetime-s",  "shape",
-          "report-loss",  "horizon-epochs",    "epoch-periods",
-          "min-detection", "pf",               "max-fa",
-          "search-k",     "search-window",     "margin",
-          "min-dwell",    "estimator",         "estimator-windows",
-          "estimator-z",  "seed",              "trials"};
-      for (const char* name : kSpecFlags) {
-        SPARSEDET_REQUIRE(!flags.Provided(name),
-                          std::string("--") + name +
-                              " conflicts with --spec (the file is the "
-                              "whole spec)");
-      }
-      std::ifstream file(spec_path);
-      SPARSEDET_REQUIRE(file.good(), "cannot open --spec " + spec_path);
-      std::ostringstream text;
-      text << file.rdbuf();
-      parsed = adapt::ParseAdaptSpec(ParseJson(text.str()));
-      if (flags.Provided("deadline-ms")) {
-        SPARSEDET_REQUIRE(deadline_ms >= 0, "--deadline-ms must be >= 0");
-        parsed.deadline_ms = deadline_ms;
-      }
-    } else {
-      // One parse path: flag-built specs round-trip through the canonical
-      // JSON so they get exactly the file-spec validation (domains, caps)
-      // and nothing can drift.
-      parsed = adapt::ParseAdaptSpec(adapt::SpecToJson(spec));
-    }
-
-    if (!memo_snapshot.empty()) {
-      try {
-        prob::LoadMemoSnapshot(prob::MemoCache::Global(), memo_snapshot);
-      } catch (const Error&) {
-        // A missing or stale snapshot is a cold start, not a failure.
-      }
-    }
-
-    engine::BatchEngine batch_engine(options);
-    opt::SyncEngineBackend backend(batch_engine);
-    const JsonValue result =
-        adapt::AdaptRun(parsed, backend, &batch_engine.registry());
-    adapt::WriteAdaptOutput(result, out);
-    out.flush();
-
-    if (!memo_snapshot.empty()) {
-      prob::SaveMemoSnapshot(prob::MemoCache::Global(), memo_snapshot);
-    }
-
-    // Degraded (deadline) partials still exit 0 — the result says so; a
-    // loop that ran to completion and could not hold the floor exits 1.
-    const JsonValue* held = result.Find("held");
-    const JsonValue* degraded = result.Find("degraded");
-    if (held != nullptr && !held->AsBool() && degraded != nullptr &&
-        !degraded->AsBool()) {
-      return 1;
-    }
-    return 0;
+    return RunSpecCommand<adapt::AdaptSpec>(
+        flags, run, spec,
+        {"mode", "failure-model", "mean-lifetime-s", "shape", "report-loss",
+         "horizon-epochs", "epoch-periods", "min-detection", "pf", "max-fa",
+         "search-k", "search-window", "margin", "min-dwell", "estimator",
+         "estimator-windows", "estimator-z", "seed", "trials"},
+        adapt::ParseAdaptSpec, adapt::SpecToJson,
+        [](const adapt::AdaptSpec& parsed, opt::SolveBackend& backend,
+           obs::MetricsRegistry* registry) {
+          return adapt::AdaptRun(parsed, backend, registry);
+        },
+        "epochs", "held", out);
   });
 }
 
 int CmdServeTcp(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
     engine::EngineOptions options = ParseEngineOptions(flags);
@@ -956,7 +890,7 @@ int CmdServeTcp(const std::vector<std::string>& args, std::ostream& out,
 
 int CmdMetricsDump(const std::vector<std::string>& args, std::istream& in,
                    std::ostream& out, std::ostream& err) {
-  return Guard(err, [&] {
+  return Guard(out, err, [&] {
     const std::vector<const char*> argv = ToArgv(args);
     FlagParser flags(static_cast<int>(argv.size()), argv.data(), 0);
     const std::string input = flags.GetString(
@@ -1025,6 +959,7 @@ std::string Usage() {
       "networks\n"
       "\n"
       "usage: sparsedet <command> [--flag value ...]\n"
+      "       sparsedet <command> --help   (its flags and defaults)\n"
       "\n"
       "commands:\n"
       "  analyze    analytical report for a scenario (M-S-approach & co)\n"

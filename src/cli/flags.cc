@@ -1,6 +1,7 @@
 #include "cli/flags.h"
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
@@ -13,6 +14,10 @@ FlagParser::FlagParser(int argc, const char* const* argv, int start) {
     SPARSEDET_REQUIRE(arg.rfind("--", 0) == 0,
                       "expected a --flag, got: " + arg);
     arg = arg.substr(2);
+    if (arg == "help") {
+      help_ = true;
+      continue;
+    }
     const std::size_t eq = arg.find('=');
     if (eq != std::string::npos) {
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
@@ -53,7 +58,9 @@ int FlagParser::GetInt(const std::string& name, int default_value,
       Raw(name, std::to_string(default_value), help, "int");
   char* end = nullptr;
   const long parsed = std::strtol(raw.c_str(), &end, 10);
-  SPARSEDET_REQUIRE(end != nullptr && *end == '\0' && !raw.empty(),
+  SPARSEDET_REQUIRE(end != nullptr && *end == '\0' && !raw.empty() &&
+                        parsed >= std::numeric_limits<int>::min() &&
+                        parsed <= std::numeric_limits<int>::max(),
                     "--" + name + " expects an integer, got: " + raw);
   return static_cast<int>(parsed);
 }
@@ -75,6 +82,7 @@ std::string FlagParser::GetString(const std::string& name,
 }
 
 void FlagParser::Finish() const {
+  if (help_) throw HelpRequested(Usage());
   for (const auto& [name, used] : consumed_) {
     SPARSEDET_REQUIRE(used, "unknown flag: --" + name);
   }

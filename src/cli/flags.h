@@ -2,17 +2,32 @@
 //
 // Supports `--name value` and `--name=value`. Flags are declared by the
 // getters: each Get* call records the flag's name, default and help text so
-// Usage() can print a complete reference. Unknown flags are an error
-// (caught by Finish()), which keeps typos from silently running the
-// default scenario.
+// Usage() can print a complete reference, which a bare `--help` requests.
+// Unknown flags are an error (caught by Finish()), which keeps typos from
+// silently running the default scenario.
 #pragma once
 
+#include <exception>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sparsedet {
+
+// Thrown by FlagParser::Finish() when the command line held a bare
+// `--help`: carries Usage() for the caller to print (and exit 0) instead
+// of running the command.
+class HelpRequested : public std::exception {
+ public:
+  explicit HelpRequested(std::string usage) : usage_(std::move(usage)) {}
+  const char* what() const noexcept override { return usage_.c_str(); }
+  const std::string& usage() const { return usage_; }
+
+ private:
+  std::string usage_;
+};
 
 class FlagParser {
  public:
@@ -31,7 +46,8 @@ class FlagParser {
                         const std::string& default_value,
                         const std::string& help);
 
-  // Throws InvalidArgument if any provided flag was never consumed.
+  // Throws HelpRequested after a bare --help; otherwise throws
+  // InvalidArgument if any provided flag was never consumed.
   void Finish() const;
 
   // One line per declared flag: --name (default ...): help.
@@ -44,6 +60,7 @@ class FlagParser {
   std::string Raw(const std::string& name, const std::string& default_value,
                   const std::string& help, const std::string& type);
 
+  bool help_ = false;
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;
   struct Declared {

@@ -525,20 +525,7 @@ void BatchEngine::RunUnit(const std::shared_ptr<PendingUnit>& slot,
       SubmitUnit(slot, std::move(unit), attempt + 1);
     } else {
       slot->error = e.what();
-      switch (e.reason()) {
-        case resilience::CancelReason::kDeadline:
-          slot->error_code = "deadline_exceeded";
-          break;
-        case resilience::CancelReason::kWatchdog:
-          slot->error_code = "watchdog_cancelled";
-          break;
-        case resilience::CancelReason::kDisconnect:
-          slot->error_code = "disconnected";
-          break;
-        default:
-          slot->error_code = "cancelled";
-          break;
-      }
+      slot->error_code = resilience::CancelErrorCode(e.reason());
     }
   } catch (const resilience::WorkerAbort& e) {
     metrics_.worker_aborts->Inc();

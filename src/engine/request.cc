@@ -5,6 +5,7 @@
 #include <memory>
 #include <numbers>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.h"
 #include "core/analysis.h"
@@ -21,21 +22,98 @@ namespace {
 // request that would enqueue unbounded work.
 constexpr std::size_t kMaxSweepPoints = 100000;
 
-[[noreturn]] void FailKey(const std::string& section, const std::string& key,
-                          const std::string& message) {
-  std::ostringstream os;
-  os << "request field \"" << (section.empty() ? key : section + "." + key)
-     << "\": " << message;
-  throw InvalidArgument(os.str());
+SimulateSpec ParseSim(const JsonValue& obj) {
+  const FieldReader r(obj, "request", "sim",
+                      {"trials", "seed", "pf", "reliability", "h", "motion",
+                       "geometry", "death", "loss"});
+  SimulateSpec s;
+  s.trials = r.Int("trials", s.trials);
+  // Every seed a double carries exactly: adapt's validation requests draw
+  // theirs from the full 53 bits.
+  s.seed = static_cast<std::uint64_t>(r.NonNegativeInt(
+      "seed", static_cast<std::int64_t>(s.seed), kMaxExactJsonInt));
+  s.false_alarm_prob = r.Number("pf", s.false_alarm_prob);
+  s.node_reliability = r.Number("reliability", s.node_reliability);
+  s.distinct_nodes = r.Int("h", s.distinct_nodes);
+  s.motion = r.String("motion", s.motion);
+  s.geometry = r.String("geometry", s.geometry);
+  s.node_death_prob = r.Number("death", s.node_death_prob);
+  s.report_loss_prob = r.Number("loss", s.report_loss_prob);
+  if (s.node_death_prob < 0.0 || s.node_death_prob > 1.0) {
+    r.FailKey("death", "expected in [0, 1]");
+  }
+  if (s.report_loss_prob < 0.0 || s.report_loss_prob > 1.0) {
+    r.FailKey("loss", "expected in [0, 1]");
+  }
+  if (s.trials < 1) r.FailKey("trials", "expected >= 1");
+  if (s.distinct_nodes < 1) r.FailKey("h", "expected >= 1");
+  if (s.motion != "straight" && s.motion != "random-walk") {
+    r.FailKey("motion", "expected \"straight\" or \"random-walk\"");
+  }
+  if (s.geometry != "toroidal" && s.geometry != "planar") {
+    r.FailKey("geometry", "expected \"toroidal\" or \"planar\"");
+  }
+  return s;
 }
 
-// Strict typed field extraction. Every section lists its allowed keys via
-// CheckKeys so a typo is named instead of silently ignored.
-void CheckKeys(const JsonValue& obj, const std::string& section,
-               const std::vector<std::string>& allowed) {
-  for (const auto& [key, value] : obj.Fields()) {
+SweepSpec ParseSweep(const JsonValue& obj) {
+  const FieldReader r(obj, "request", "sweep", {"param", "from", "to", "step"});
+  SweepSpec s;
+  s.param = r.String("param", s.param);
+  s.from = r.Number("from", s.from);
+  s.to = r.Number("to", s.to);
+  s.step = r.Number("step", s.step);
+  if (!IsSweepParam(s.param)) {
+    r.FailKey("param", "expected one of nodes | speed | k | window | rs | pd");
+  }
+  if (!(s.step > 0.0)) r.FailKey("step", "expected > 0");
+  if (s.to < s.from) r.FailKey("to", "expected >= sweep.from");
+  return s;
+}
+
+FaSpec ParseFa(const JsonValue& obj) {
+  const FieldReader r(obj, "request", "fa", {"pf", "max_k"});
+  FaSpec f;
+  f.false_alarm_prob = r.Number("pf", f.false_alarm_prob);
+  f.max_k = r.Int("max_k", f.max_k);
+  if (f.false_alarm_prob < 0.0 || f.false_alarm_prob > 1.0) {
+    r.FailKey("pf", "expected in [0, 1]");
+  }
+  if (f.max_k < 1) r.FailKey("max_k", "expected >= 1");
+  return f;
+}
+
+// Shortest-round-trip number formatting, shared with the serializer so the
+// cache key for nodes=10 and nodes=10.0 is identical.
+std::string Num(double d) { return JsonValue(d).ToString(); }
+
+void AppendScenarioKey(std::ostream& os, const SystemParams& p) {
+  os << "|W=" << Num(p.field_width) << "|H=" << Num(p.field_height)
+     << "|N=" << p.num_nodes << "|Rs=" << Num(p.sensing_range)
+     << "|Rc=" << Num(p.comm_range) << "|Pd=" << Num(p.detect_prob)
+     << "|t=" << Num(p.period_length) << "|V=" << Num(p.target_speed)
+     << "|M=" << p.window_periods << "|k=" << p.threshold_reports;
+}
+
+void AppendOptionsKey(std::ostream& os, const MsApproachOptions& o) {
+  os << "|gh=" << o.gh << "|g=" << o.g << "|norm=" << (o.normalize ? 1 : 0)
+     << "|rel=" << Num(o.node_reliability);
+}
+
+}  // namespace
+
+FieldReader::FieldReader(const JsonValue& obj, const char* noun,
+                         std::string section,
+                         std::initializer_list<std::string_view> allowed)
+    : obj_(obj), noun_(noun), section_(std::move(section)) {
+  CheckKeys(allowed);
+}
+
+void FieldReader::CheckKeys(
+    std::initializer_list<std::string_view> allowed) const {
+  for (const auto& [key, value] : obj_.Fields()) {
     bool known = false;
-    for (const std::string& a : allowed) {
+    for (std::string_view a : allowed) {
       if (key == a) {
         known = true;
         break;
@@ -43,143 +121,142 @@ void CheckKeys(const JsonValue& obj, const std::string& section,
     }
     if (!known) {
       std::ostringstream os;
-      os << "unknown request field \""
-         << (section.empty() ? key : section + "." + key) << "\"";
+      os << "unknown " << noun_ << " field \""
+         << (section_.empty() ? key : section_ + "." + key) << "\"";
       throw InvalidArgument(os.str());
     }
   }
 }
 
-double GetNumber(const JsonValue& obj, const std::string& section,
-                 const std::string& key, double fallback) {
-  const JsonValue* v = obj.Find(key);
+void FieldReader::FailKey(std::string_view key,
+                          const std::string& message) const {
+  std::ostringstream os;
+  os << noun_ << " field \"";
+  if (!section_.empty()) os << section_ << '.';
+  os << key << "\": " << message;
+  throw InvalidArgument(os.str());
+}
+
+double FieldReader::Number(const std::string& key, double fallback) const {
+  const JsonValue* v = obj_.Find(key);
   if (v == nullptr) return fallback;
-  if (!v->is_number()) FailKey(section, key, "expected a number");
+  if (!v->is_number()) FailKey(key, "expected a number");
   return v->AsDouble();
 }
 
-int GetInt(const JsonValue& obj, const std::string& section,
-           const std::string& key, int fallback) {
-  const JsonValue* v = obj.Find(key);
+double FieldReader::RequiredNumber(const std::string& key) const {
+  if (obj_.Find(key) == nullptr) FailKey(key, "required");
+  return Number(key, 0.0);
+}
+
+int FieldReader::Int(const std::string& key, int fallback) const {
+  const JsonValue* v = obj_.Find(key);
   if (v == nullptr) return fallback;
-  if (!v->is_number()) FailKey(section, key, "expected an integer");
+  if (!v->is_number()) FailKey(key, "expected an integer");
   const double d = v->AsDouble();
   if (d != std::floor(d) || d < std::numeric_limits<int>::min() ||
       d > std::numeric_limits<int>::max()) {
-    FailKey(section, key, "expected an integer");
+    FailKey(key, "expected an integer");
   }
   return static_cast<int>(d);
 }
 
-bool GetBool(const JsonValue& obj, const std::string& section,
-             const std::string& key, bool fallback) {
-  const JsonValue* v = obj.Find(key);
+std::int64_t FieldReader::NonNegativeInt(const std::string& key,
+                                         std::int64_t fallback,
+                                         double max) const {
+  const double d = Number(key, static_cast<double>(fallback));
+  if (d < 0.0 || d != std::floor(d) || d > max) {
+    FailKey(key, "expected a non-negative integer");
+  }
+  return static_cast<std::int64_t>(d);
+}
+
+bool FieldReader::Bool(const std::string& key, bool fallback) const {
+  const JsonValue* v = obj_.Find(key);
   if (v == nullptr) return fallback;
-  if (!v->is_bool()) FailKey(section, key, "expected true or false");
+  if (!v->is_bool()) FailKey(key, "expected true or false");
   return v->AsBool();
 }
 
-std::string GetString(const JsonValue& obj, const std::string& section,
-                      const std::string& key, const std::string& fallback) {
-  const JsonValue* v = obj.Find(key);
+std::string FieldReader::String(const std::string& key,
+                                const std::string& fallback) const {
+  const JsonValue* v = obj_.Find(key);
   if (v == nullptr) return fallback;
-  if (!v->is_string()) FailKey(section, key, "expected a string");
+  if (!v->is_string()) FailKey(key, "expected a string");
   return v->AsString();
 }
 
-SystemParams ParseParams(const JsonValue& obj) {
-  CheckKeys(obj, "params",
-            {"field_width", "field_height", "nodes", "rs", "rc", "pd",
-             "period", "speed", "window", "k"});
+const JsonValue* FieldReader::Object(const std::string& key) const {
+  const JsonValue* v = obj_.Find(key);
+  if (v != nullptr && !v->is_object()) FailKey(key, "expected an object");
+  return v;
+}
+
+std::optional<FieldReader> FieldReader::Section(
+    const std::string& key,
+    std::initializer_list<std::string_view> allowed) const {
+  const JsonValue* v = Object(key);
+  if (v == nullptr) return std::nullopt;
+  return FieldReader(*v, noun_, section_.empty() ? key : section_ + "." + key,
+                     allowed);
+}
+
+SystemParams ParseParamsSection(const JsonValue& obj) {
+  const FieldReader r(obj, "request", "params",
+                      {"field_width", "field_height", "nodes", "rs", "rc",
+                       "pd", "period", "speed", "window", "k"});
   SystemParams p = SystemParams::OnrDefaults();
-  p.field_width = GetNumber(obj, "params", "field_width", p.field_width);
-  p.field_height = GetNumber(obj, "params", "field_height", p.field_height);
-  p.num_nodes = GetInt(obj, "params", "nodes", p.num_nodes);
-  p.sensing_range = GetNumber(obj, "params", "rs", p.sensing_range);
-  p.comm_range = GetNumber(obj, "params", "rc", p.comm_range);
-  p.detect_prob = GetNumber(obj, "params", "pd", p.detect_prob);
-  p.period_length = GetNumber(obj, "params", "period", p.period_length);
-  p.target_speed = GetNumber(obj, "params", "speed", p.target_speed);
-  p.window_periods = GetInt(obj, "params", "window", p.window_periods);
-  p.threshold_reports = GetInt(obj, "params", "k", p.threshold_reports);
+  p.field_width = r.Number("field_width", p.field_width);
+  p.field_height = r.Number("field_height", p.field_height);
+  p.num_nodes = r.Int("nodes", p.num_nodes);
+  p.sensing_range = r.Number("rs", p.sensing_range);
+  p.comm_range = r.Number("rc", p.comm_range);
+  p.detect_prob = r.Number("pd", p.detect_prob);
+  p.period_length = r.Number("period", p.period_length);
+  p.target_speed = r.Number("speed", p.target_speed);
+  p.window_periods = r.Int("window", p.window_periods);
+  p.threshold_reports = r.Int("k", p.threshold_reports);
   return p;
 }
 
-MsApproachOptions ParseOptions(const JsonValue& obj) {
-  CheckKeys(obj, "options", {"gh", "g", "normalize", "reliability"});
+MsApproachOptions ParseOptionsSection(const JsonValue& obj) {
+  const FieldReader r(obj, "request", "options",
+                      {"gh", "g", "normalize", "reliability"});
   MsApproachOptions o;
-  o.gh = GetInt(obj, "options", "gh", o.gh);
-  o.g = GetInt(obj, "options", "g", o.g);
-  o.normalize = GetBool(obj, "options", "normalize", o.normalize);
-  o.node_reliability =
-      GetNumber(obj, "options", "reliability", o.node_reliability);
+  o.gh = r.Int("gh", o.gh);
+  o.g = r.Int("g", o.g);
+  o.normalize = r.Bool("normalize", o.normalize);
+  o.node_reliability = r.Number("reliability", o.node_reliability);
   return o;
 }
 
-SimulateSpec ParseSim(const JsonValue& obj) {
-  CheckKeys(obj, "sim",
-            {"trials", "seed", "pf", "reliability", "h", "motion",
-             "geometry", "death", "loss"});
-  SimulateSpec s;
-  s.trials = GetInt(obj, "sim", "trials", s.trials);
-  const double seed =
-      GetNumber(obj, "sim", "seed", static_cast<double>(s.seed));
-  if (seed < 0 || seed != std::floor(seed)) {
-    FailKey("sim", "seed", "expected a non-negative integer");
-  }
-  s.seed = static_cast<std::uint64_t>(seed);
-  s.false_alarm_prob = GetNumber(obj, "sim", "pf", s.false_alarm_prob);
-  s.node_reliability =
-      GetNumber(obj, "sim", "reliability", s.node_reliability);
-  s.distinct_nodes = GetInt(obj, "sim", "h", s.distinct_nodes);
-  s.motion = GetString(obj, "sim", "motion", s.motion);
-  s.geometry = GetString(obj, "sim", "geometry", s.geometry);
-  s.node_death_prob = GetNumber(obj, "sim", "death", s.node_death_prob);
-  s.report_loss_prob = GetNumber(obj, "sim", "loss", s.report_loss_prob);
-  if (s.node_death_prob < 0.0 || s.node_death_prob > 1.0) {
-    FailKey("sim", "death", "expected in [0, 1]");
-  }
-  if (s.report_loss_prob < 0.0 || s.report_loss_prob > 1.0) {
-    FailKey("sim", "loss", "expected in [0, 1]");
-  }
-  if (s.trials < 1) FailKey("sim", "trials", "expected >= 1");
-  if (s.distinct_nodes < 1) FailKey("sim", "h", "expected >= 1");
-  if (s.motion != "straight" && s.motion != "random-walk") {
-    FailKey("sim", "motion", "expected \"straight\" or \"random-walk\"");
-  }
-  if (s.geometry != "toroidal" && s.geometry != "planar") {
-    FailKey("sim", "geometry", "expected \"toroidal\" or \"planar\"");
-  }
-  return s;
+JsonValue ParamsToJson(const SystemParams& p) {
+  JsonValue json = JsonValue::Object();
+  json.Set("field_width", p.field_width)
+      .Set("field_height", p.field_height)
+      .Set("nodes", p.num_nodes)
+      .Set("rs", p.sensing_range)
+      .Set("rc", p.comm_range)
+      .Set("pd", p.detect_prob)
+      .Set("period", p.period_length)
+      .Set("speed", p.target_speed)
+      .Set("window", p.window_periods)
+      .Set("k", p.threshold_reports);
+  return json;
 }
 
-SweepSpec ParseSweep(const JsonValue& obj) {
-  CheckKeys(obj, "sweep", {"param", "from", "to", "step"});
-  SweepSpec s;
-  s.param = GetString(obj, "sweep", "param", s.param);
-  s.from = GetNumber(obj, "sweep", "from", s.from);
-  s.to = GetNumber(obj, "sweep", "to", s.to);
-  s.step = GetNumber(obj, "sweep", "step", s.step);
-  if (s.param != "nodes" && s.param != "speed" && s.param != "k" &&
-      s.param != "window" && s.param != "rs" && s.param != "pd") {
-    FailKey("sweep", "param",
-            "expected one of nodes | speed | k | window | rs | pd");
-  }
-  if (!(s.step > 0.0)) FailKey("sweep", "step", "expected > 0");
-  if (s.to < s.from) FailKey("sweep", "to", "expected >= sweep.from");
-  return s;
+JsonValue OptionsToJson(const MsApproachOptions& o) {
+  JsonValue json = JsonValue::Object();
+  json.Set("gh", o.gh)
+      .Set("g", o.g)
+      .Set("normalize", o.normalize)
+      .Set("reliability", o.node_reliability);
+  return json;
 }
 
-FaSpec ParseFa(const JsonValue& obj) {
-  CheckKeys(obj, "fa", {"pf", "max_k"});
-  FaSpec f;
-  f.false_alarm_prob = GetNumber(obj, "fa", "pf", f.false_alarm_prob);
-  f.max_k = GetInt(obj, "fa", "max_k", f.max_k);
-  if (f.false_alarm_prob < 0.0 || f.false_alarm_prob > 1.0) {
-    FailKey("fa", "pf", "expected in [0, 1]");
-  }
-  if (f.max_k < 1) FailKey("fa", "max_k", "expected >= 1");
-  return f;
+bool IsSweepParam(const std::string& param) {
+  return param == "nodes" || param == "speed" || param == "k" ||
+         param == "window" || param == "rs" || param == "pd";
 }
 
 void ApplySweepValue(SystemParams& p, const std::string& param,
@@ -198,23 +275,6 @@ void ApplySweepValue(SystemParams& p, const std::string& param,
     SPARSEDET_CHECK(param == "pd", "unexpected sweep param " + param);
     p.detect_prob = value;
   }
-}
-
-// Shortest-round-trip number formatting, shared with the serializer so the
-// cache key for nodes=10 and nodes=10.0 is identical.
-std::string Num(double d) { return JsonValue(d).ToString(); }
-
-void AppendScenarioKey(std::ostream& os, const SystemParams& p) {
-  os << "|W=" << Num(p.field_width) << "|H=" << Num(p.field_height)
-     << "|N=" << p.num_nodes << "|Rs=" << Num(p.sensing_range)
-     << "|Rc=" << Num(p.comm_range) << "|Pd=" << Num(p.detect_prob)
-     << "|t=" << Num(p.period_length) << "|V=" << Num(p.target_speed)
-     << "|M=" << p.window_periods << "|k=" << p.threshold_reports;
-}
-
-void AppendOptionsKey(std::ostream& os, const MsApproachOptions& o) {
-  os << "|gh=" << o.gh << "|g=" << o.g << "|norm=" << (o.normalize ? 1 : 0)
-     << "|rel=" << Num(o.node_reliability);
 }
 
 JsonValue AnalyzeToJson(const SystemParams& params,
@@ -239,16 +299,6 @@ JsonValue AnalyzeToJson(const SystemParams& params,
   return json;
 }
 
-}  // namespace
-
-SystemParams ParseParamsSection(const JsonValue& obj) {
-  return ParseParams(obj);
-}
-
-MsApproachOptions ParseOptionsSection(const JsonValue& obj) {
-  return ParseOptions(obj);
-}
-
 std::string OpName(RequestOp op) {
   switch (op) {
     case RequestOp::kAnalyze:
@@ -267,14 +317,14 @@ std::string OpName(RequestOp op) {
 
 Request ParseRequest(const JsonValue& json, int default_id) {
   SPARSEDET_REQUIRE(json.is_object(), "request must be a JSON object");
-  CheckKeys(json, "",
-            {"id", "op", "params", "options", "sim", "sweep", "fa",
-             "tenant", "deadline_ms", "degrade"});
+  const FieldReader r(json, "request", "",
+                      {"id", "op", "params", "options", "sim", "sweep", "fa",
+                       "tenant", "deadline_ms", "degrade"});
 
   Request request;
   if (const JsonValue* id = json.Find("id")) {
     if (!id->is_string() && !id->is_number()) {
-      FailKey("", "id", "expected a string or number");
+      r.FailKey("id", "expected a string or number");
     }
     request.id = *id;
   } else {
@@ -282,8 +332,8 @@ Request ParseRequest(const JsonValue& json, int default_id) {
   }
 
   const JsonValue* op = json.Find("op");
-  if (op == nullptr) FailKey("", "op", "required field is missing");
-  if (!op->is_string()) FailKey("", "op", "expected a string");
+  if (op == nullptr) r.FailKey("op", "required field is missing");
+  if (!op->is_string()) r.FailKey("op", "expected a string");
   const std::string& name = op->AsString();
   if (name == "analyze") {
     request.op = RequestOp::kAnalyze;
@@ -296,28 +346,25 @@ Request ParseRequest(const JsonValue& json, int default_id) {
   } else if (name == "fa") {
     request.op = RequestOp::kFa;
   } else {
-    FailKey("", "op",
-            "expected one of analyze | simulate | sweep | latency | fa");
+    r.FailKey("op",
+              "expected one of analyze | simulate | sweep | latency | fa");
   }
 
   auto section = [&](const char* key, bool allowed) -> const JsonValue* {
-    const JsonValue* v = json.Find(key);
-    if (v == nullptr) return nullptr;
-    if (!allowed) {
-      FailKey("", key, "not valid for op \"" + name + "\"");
+    if (!allowed && json.Find(key) != nullptr) {
+      r.FailKey(key, "not valid for op \"" + name + "\"");
     }
-    if (!v->is_object()) FailKey("", key, "expected an object");
-    return v;
+    return r.Object(key);
   };
 
   if (const JsonValue* params = section("params", true)) {
-    request.params = ParseParams(*params);
+    request.params = ParseParamsSection(*params);
   }
   const bool analytic = request.op == RequestOp::kAnalyze ||
                         request.op == RequestOp::kSweep ||
                         request.op == RequestOp::kLatency;
   if (const JsonValue* options = section("options", analytic)) {
-    request.options = ParseOptions(*options);
+    request.options = ParseOptionsSection(*options);
   }
   if (const JsonValue* sim =
           section("sim", request.op == RequestOp::kSimulate)) {
@@ -331,15 +378,9 @@ Request ParseRequest(const JsonValue& json, int default_id) {
     request.fa = ParseFa(*fa);
   }
 
-  request.tenant = GetString(json, "", "tenant", "");
-
-  const double deadline = GetNumber(json, "", "deadline_ms", 0.0);
-  if (deadline < 0.0 || deadline != std::floor(deadline) ||
-      deadline > 9.0e15) {
-    FailKey("", "deadline_ms", "expected a non-negative integer");
-  }
-  request.deadline_ms = static_cast<std::int64_t>(deadline);
-  request.degrade = GetBool(json, "", "degrade", false);
+  request.tenant = r.String("tenant", "");
+  request.deadline_ms = r.NonNegativeInt("deadline_ms", 0);
+  request.degrade = r.Bool("degrade", false);
 
   request.params.Validate();
   if (request.op == RequestOp::kSweep) {

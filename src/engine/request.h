@@ -24,12 +24,19 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
 #include "core/ms_approach.h"
 #include "core/params.h"
+
+namespace sparsedet {
+struct ScenarioReport;
+}  // namespace sparsedet
 
 namespace sparsedet::engine {
 
@@ -87,12 +94,73 @@ struct Request {
 // number). Throws InvalidArgument with a key-specific message.
 Request ParseRequest(const JsonValue& json, int default_id);
 
-// The "params" / "options" section parsers, exported so other request
-// schemas embedding a scenario (the optimizer's spec) share one strict
-// parse instead of drifting. Both throw InvalidArgument naming the
-// offending key.
+// The largest integer a JSON number (a double) carries exactly, 2^53 - 1.
+inline constexpr double kMaxExactJsonInt = 9007199254740991.0;
+
+// Strict reading of one JSON object, shared by every schema that embeds a
+// scenario (requests here, the optimize and adapt specs) so they all reject
+// typos and mistyped values the same way. `noun` names the document kind
+// ("request" or "spec") and `section` the object's dotted path ("" at top
+// level); both only shape the messages:
+//
+//   unknown <noun> field "<section>.<key>"
+//   <noun> field "<section>.<key>": <message>
+//
+// Getters return `fallback` for an absent key and throw InvalidArgument for
+// a present key of the wrong type. Checking keys and reading numbers
+// allocate nothing; only a failure builds a message.
+class FieldReader {
+ public:
+  // Throws naming the first key of `obj` (an object) not in `allowed`.
+  FieldReader(const JsonValue& obj, const char* noun, std::string section,
+              std::initializer_list<std::string_view> allowed);
+
+  [[noreturn]] void FailKey(std::string_view key,
+                            const std::string& message) const;
+
+  double Number(const std::string& key, double fallback) const;
+  // Number, but an absent key fails ("required").
+  double RequiredNumber(const std::string& key) const;
+  // An integral number within int range.
+  int Int(const std::string& key, int fallback) const;
+  // An integral number in [0, max]. Any max up to kMaxExactJsonInt keeps
+  // the value exact as a double and an int64_t, so seeds and deadlines
+  // survive the JSON round trip unchanged.
+  std::int64_t NonNegativeInt(const std::string& key, std::int64_t fallback,
+                              double max = 9.0e15) const;
+  bool Bool(const std::string& key, bool fallback) const;
+  std::string String(const std::string& key,
+                     const std::string& fallback) const;
+  // The object under `key`, or null when absent; fails when not an object.
+  const JsonValue* Object(const std::string& key) const;
+  // Object(key) as a nested reader (section "<section>.<key>"), or nullopt
+  // when absent.
+  std::optional<FieldReader> Section(
+      const std::string& key,
+      std::initializer_list<std::string_view> allowed) const;
+
+ private:
+  void CheckKeys(std::initializer_list<std::string_view> allowed) const;
+
+  const JsonValue& obj_;
+  const char* noun_;
+  std::string section_;
+};
+
+// The scenario codec: the "params" / "options" sections every schema
+// embedding a scenario (the optimize and adapt specs, the inner requests
+// they send) shares, so the schema has one reader and one writer. The
+// parsers throw InvalidArgument naming the offending key; the writers
+// round-trip through them bit for bit.
 SystemParams ParseParamsSection(const JsonValue& obj);
 MsApproachOptions ParseOptionsSection(const JsonValue& obj);
+JsonValue ParamsToJson(const SystemParams& params);
+JsonValue OptionsToJson(const MsApproachOptions& options);
+
+// The analyze result object (shared by the engine and `sparsedet analyze
+// --format json`).
+JsonValue AnalyzeToJson(const SystemParams& params,
+                        const ScenarioReport& report);
 
 // A single cacheable evaluation. For op == kSweep this is one grid point
 // (params carry the applied sweep value); other ops evaluate whole.
@@ -105,9 +173,17 @@ struct WorkUnit {
   FaSpec fa;
 };
 
-// The sweep grid: from, from + step, ... up to `to` (inclusive, with the
-// same epsilon the CLI sweep uses).
+// The sweep grid: from, from + step, ... up to `to` (inclusive, with a
+// 1e-9 epsilon). Throws InvalidArgument past 100000 points, which also
+// stops a step too small to advance the value.
 std::vector<double> SweepValues(const SweepSpec& spec);
+
+// True for the sweepable parameters: nodes | speed | k | window | rs | pd.
+bool IsSweepParam(const std::string& param);
+// Sets one sweep point's parameter (integer parameters truncate).
+// Requires IsSweepParam(param).
+void ApplySweepValue(SystemParams& p, const std::string& param,
+                     double value);
 
 // Expands a request into its work units (>= 1, in deterministic order).
 std::vector<WorkUnit> ExpandRequest(const Request& request);

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/error.h"
+#include "engine/request.h"
 
 namespace sparsedet::opt {
 namespace {
@@ -24,6 +25,37 @@ std::vector<JsonValue> ParseResponses(const std::vector<std::string>& raw,
 }
 
 }  // namespace
+
+std::string PointRequestLine(const SystemParams& params,
+                             const MsApproachOptions& options,
+                             std::uint64_t id) {
+  JsonValue sweep = JsonValue::Object();
+  sweep.Set("param", "nodes")
+      .Set("from", params.num_nodes)
+      .Set("to", params.num_nodes)
+      .Set("step", 1);
+  JsonValue request = JsonValue::Object();
+  request.Set("id", static_cast<std::int64_t>(id))
+      .Set("op", "sweep")
+      .Set("params", engine::ParamsToJson(params))
+      .Set("options", engine::OptionsToJson(options))
+      .Set("sweep", std::move(sweep));
+  return request.ToString();
+}
+
+double PointDetection(const JsonValue& response) {
+  const JsonValue* result =
+      response.is_object() ? response.Find("result") : nullptr;
+  if (result == nullptr) return -1.0;
+  const JsonValue* points = result->Find("points");
+  SPARSEDET_CHECK(points != nullptr && points->is_array() &&
+                      points->Size() == 1,
+                  "inner solve response missing its sweep point");
+  const JsonValue* detection = points->At(0).Find("detection_probability");
+  SPARSEDET_CHECK(detection != nullptr && detection->is_number(),
+                  "inner solve response missing detection_probability");
+  return detection->AsDouble();
+}
 
 std::vector<JsonValue> SyncEngineBackend::Solve(
     const std::vector<std::string>& lines) {

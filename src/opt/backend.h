@@ -19,15 +19,31 @@
 // transports and thread counts.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
+#include "core/ms_approach.h"
+#include "core/params.h"
 #include "engine/engine.h"
 #include "resilience/cancel.h"
 
 namespace sparsedet::opt {
+
+// One scenario as an inner-solve request line: a single-point sweep at the
+// scenario's own N, the engine's cheapest unit (detection probability
+// only), sharing result-cache and memo-cache entries with any user sweep
+// over the same scenario. Optimize and adapt phrase every analytic
+// candidate this way.
+std::string PointRequestLine(const SystemParams& params,
+                             const MsApproachOptions& options,
+                             std::uint64_t id);
+
+// The detection probability out of a PointRequestLine response, or a
+// negative value when the engine answered with a per-request error.
+double PointDetection(const JsonValue& response);
 
 class SolveBackend {
  public:

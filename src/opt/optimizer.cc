@@ -5,100 +5,32 @@
 #include <cmath>
 #include <utility>
 
-#include "common/check.h"
 #include "common/error.h"
 #include "core/false_alarm_model.h"
 
 namespace sparsedet::opt {
-namespace {
 
-JsonValue ParamsJson(const SystemParams& p) {
-  JsonValue obj = JsonValue::Object();
-  obj.Set("field_width", p.field_width)
-      .Set("field_height", p.field_height)
-      .Set("nodes", p.num_nodes)
-      .Set("rs", p.sensing_range)
-      .Set("rc", p.comm_range)
-      .Set("pd", p.detect_prob)
-      .Set("period", p.period_length)
-      .Set("speed", p.target_speed)
-      .Set("window", p.window_periods)
-      .Set("k", p.threshold_reports);
-  return obj;
+void BatchGate::Start(std::int64_t deadline_ms) {
+  deadline_ = deadline_ms > 0 ? resilience::Deadline::AfterMillis(deadline_ms)
+                              : resilience::Deadline();
 }
 
-JsonValue OptionsJson(const MsApproachOptions& o) {
-  JsonValue obj = JsonValue::Object();
-  obj.Set("gh", o.gh)
-      .Set("g", o.g)
-      .Set("normalize", o.normalize)
-      .Set("reliability", o.node_reliability);
-  return obj;
+bool BatchGate::KeepGoing() {
+  if (hooks_.cancel != nullptr) hooks_.cancel->ThrowIfCancelled();
+  if (deadline_.set() && deadline_.Expired()) return Refuse();
+  return true;
 }
 
-// One candidate as an engine request: a single-point sweep, the engine's
-// cheapest unit (detection probability only), sharing result-cache and
-// memo-cache entries with any user sweep over the same scenario.
-std::string CandidateRequestLine(const OptimizeSpec& spec, const Candidate& c,
-                                 std::uint64_t id) {
-  const SystemParams p = CandidateParams(spec, c);
-  JsonValue sweep = JsonValue::Object();
-  sweep.Set("param", "nodes")
-      .Set("from", p.num_nodes)
-      .Set("to", p.num_nodes)
-      .Set("step", 1);
-  JsonValue req = JsonValue::Object();
-  req.Set("id", static_cast<std::int64_t>(id))
-      .Set("op", "sweep")
-      .Set("params", ParamsJson(p))
-      .Set("options", OptionsJson(spec.options))
-      .Set("sweep", std::move(sweep));
-  return req.ToString();
+bool BatchGate::Admit(std::size_t batch_size) {
+  if (hooks_.admit && !hooks_.admit(batch_size, deadline_)) return Refuse();
+  return true;
 }
 
-// The detection probability out of a single-point sweep response, or a
-// negative value when the engine answered with a per-request error.
-double ExtractDetection(const JsonValue& response) {
-  const JsonValue* result =
-      response.is_object() ? response.Find("result") : nullptr;
-  if (result == nullptr) return -1.0;
-  const JsonValue* points = result->Find("points");
-  SPARSEDET_CHECK(points != nullptr && points->is_array() &&
-                      points->Size() == 1,
-                  "inner solve response missing its sweep point");
-  const JsonValue* detection = points->At(0).Find("detection_probability");
-  SPARSEDET_CHECK(detection != nullptr && detection->is_number(),
-                  "inner solve response missing detection_probability");
-  return detection->AsDouble();
+bool BatchGate::Refuse() {
+  degraded_ = true;
+  if (deadline_partial_ != nullptr) deadline_partial_->Inc();
+  return false;
 }
-
-// The engine's structured error vocabulary for a cancelled optimize run,
-// so clients branch on the same codes for both request kinds.
-const char* CancelErrorCode(resilience::CancelReason reason) {
-  switch (reason) {
-    case resilience::CancelReason::kDeadline:
-      return "deadline_exceeded";
-    case resilience::CancelReason::kWatchdog:
-      return "watchdog_cancelled";
-    case resilience::CancelReason::kDisconnect:
-      return "disconnected";
-    default:
-      return "cancelled";
-  }
-}
-
-// Decrements opt_active on every exit path, exception-safe.
-struct ActiveGuard {
-  explicit ActiveGuard(obs::Gauge* gauge) : gauge_(gauge) {
-    if (gauge_ != nullptr) gauge_->Add(1);
-  }
-  ~ActiveGuard() {
-    if (gauge_ != nullptr) gauge_->Add(-1);
-  }
-  obs::Gauge* gauge_;
-};
-
-}  // namespace
 
 OptMetrics::OptMetrics(obs::MetricsRegistry& registry)
     : runs(&registry.counter("opt_runs_total")),
@@ -123,40 +55,28 @@ Optimizer::Optimizer(const OptimizeSpec& spec, SolveBackend& backend,
                      obs::MetricsRegistry* registry, OptimizerHooks hooks)
     : spec_(spec),
       backend_(backend),
-      hooks_(std::move(hooks)),
       metrics_(registry != nullptr ? std::make_unique<OptMetrics>(*registry)
-                                   : nullptr) {}
-
-bool Optimizer::KeepGoing() {
-  if (hooks_.cancel != nullptr) hooks_.cancel->ThrowIfCancelled();
-  if (deadline_.set() && deadline_.Expired()) {
-    degraded_ = true;
-    if (metrics_) metrics_->deadline_partial->Inc();
-    return false;
-  }
-  return true;
-}
+                                   : nullptr),
+      gate_(std::move(hooks),
+            metrics_ ? metrics_->deadline_partial : nullptr) {}
 
 bool Optimizer::EvaluateBatch(const std::vector<Candidate>& batch,
                               bool refining) {
   if (batch.empty()) return true;
-  if (hooks_.admit && !hooks_.admit(batch.size(), deadline_)) {
-    degraded_ = true;
-    if (metrics_) metrics_->deadline_partial->Inc();
-    return false;
-  }
+  if (!gate_.Admit(batch.size())) return false;
   const auto start = std::chrono::steady_clock::now();
 
   std::vector<std::string> lines;
   lines.reserve(batch.size());
   for (const Candidate& c : batch) {
-    lines.push_back(CandidateRequestLine(spec_, c, next_id_++));
+    lines.push_back(PointRequestLine(CandidateParams(spec_, c), spec_.options,
+                                     next_id_++));
   }
   const std::vector<JsonValue> responses = backend_.Solve(lines);
   ++batches_;
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double detection = ExtractDetection(responses[i]);
+    const double detection = PointDetection(responses[i]);
     if (detection < 0.0) {
       ++solve_errors_;
       if (metrics_) metrics_->solve_errors->Inc();
@@ -298,10 +218,7 @@ JsonValue Optimizer::EvalJson(const Eval& e) const {
 JsonValue Optimizer::Run() {
   if (metrics_) metrics_->runs->Inc();
   ActiveGuard active(metrics_ ? metrics_->active : nullptr);
-
-  deadline_ = spec_.deadline_ms > 0
-                  ? resilience::Deadline::AfterMillis(spec_.deadline_ms)
-                  : resilience::Deadline();
+  gate_.Start(spec_.deadline_ms);
 
   const std::vector<Candidate> grid = CoarseGrid(spec_, &invalid_);
   if (metrics_ && invalid_ > 0) metrics_->invalid->Inc(invalid_);
@@ -312,7 +229,7 @@ JsonValue Optimizer::Run() {
   // worst-case overrun is one batch.
   std::size_t pos = 0;
   while (pos < grid.size()) {
-    if (!KeepGoing()) break;
+    if (!gate_.KeepGoing()) break;
     const std::size_t n = std::min(kSolveBatchSize, grid.size() - pos);
     const std::vector<Candidate> batch(grid.begin() + pos,
                                        grid.begin() + pos + n);
@@ -323,7 +240,7 @@ JsonValue Optimizer::Run() {
   // Phase 2: local refinement around the incumbent (optimize mode, and
   // only when the sweep ran to completion — refining a truncated sweep
   // would anchor on an arbitrary prefix).
-  if (spec_.mode == SearchMode::kOptimize && !degraded_) {
+  if (spec_.mode == SearchMode::kOptimize && !gate_.degraded()) {
     for (int round = 1; round <= spec_.refine_rounds; ++round) {
       const Eval* best = CurrentBest();
       if (best == nullptr) break;
@@ -331,7 +248,7 @@ JsonValue Optimizer::Run() {
           Neighborhood(best->candidate, round);
       if (neighborhood.empty()) continue;
       for (const Candidate& c : neighborhood) seen_.insert(CandidateKey(c));
-      if (!KeepGoing()) break;
+      if (!gate_.KeepGoing()) break;
       if (!EvaluateBatch(neighborhood, /*refining=*/true)) break;
       ++refine_rounds_done_;
       if (metrics_) metrics_->refine_rounds->Inc();
@@ -346,7 +263,7 @@ JsonValue Optimizer::Run() {
   JsonValue result = JsonValue::Object();
   result.Set("objective", ObjectiveName(spec_.objective))
       .Set("mode", SearchModeName(spec_.mode))
-      .Set("degraded", degraded_)
+      .Set("degraded", gate_.degraded())
       .Set("grid", static_cast<std::int64_t>(grid.size()))
       .Set("evaluated", static_cast<std::int64_t>(evaluated_.size()))
       .Set("feasible", static_cast<std::int64_t>(feasible_count))
@@ -400,10 +317,9 @@ JsonValue Optimizer::Run() {
   return result;
 }
 
-JsonValue HandleOptimizeCommand(const JsonValue& command,
-                                SolveBackend& backend,
-                                obs::MetricsRegistry* registry,
-                                const OptimizerHooks& hooks) {
+JsonValue HandleLongCommand(
+    const std::string& name, const JsonValue& command,
+    const std::function<JsonValue(const JsonValue& spec)>& run) {
   JsonValue response = JsonValue::Object();
   if (command.is_object()) {
     const JsonValue* id = command.Find("id");
@@ -413,27 +329,24 @@ JsonValue HandleOptimizeCommand(const JsonValue& command,
   }
   try {
     if (!command.is_object()) {
-      throw InvalidArgument("optimize command must be a JSON object");
+      throw InvalidArgument(name + " command must be a JSON object");
     }
     for (const auto& [key, value] : command.Fields()) {
       (void)value;
       if (key != "cmd" && key != "id" && key != "tenant" && key != "spec") {
-        throw InvalidArgument("optimize command: unknown key \"" + key +
-                              "\"");
+        throw InvalidArgument(name + " command: unknown key \"" + key + "\"");
       }
     }
-    const JsonValue* spec_json = command.Find("spec");
-    if (spec_json == nullptr) {
-      throw InvalidArgument("optimize command: missing \"spec\" object");
+    const JsonValue* spec = command.Find("spec");
+    if (spec == nullptr) {
+      throw InvalidArgument(name + " command: missing \"spec\" object");
     }
-    const OptimizeSpec spec = ParseOptimizeSpec(*spec_json);
-    Optimizer optimizer(spec, backend, registry, hooks);
-    response.Set("result", optimizer.Run());
+    response.Set("result", run(*spec));
   } catch (const resilience::Cancelled& e) {
     response
-        .Set("error", std::string("optimize cancelled: ") +
+        .Set("error", name + " cancelled: " +
                           resilience::CancelReasonName(e.reason()))
-        .Set("error_code", CancelErrorCode(e.reason()));
+        .Set("error_code", resilience::CancelErrorCode(e.reason()));
   } catch (const InvalidArgument& e) {
     response.Set("error", std::string(e.what()))
         .Set("error_code", "invalid_argument");
@@ -444,20 +357,27 @@ JsonValue HandleOptimizeCommand(const JsonValue& command,
   return response;
 }
 
-void WriteOptimizeOutput(const JsonValue& result, std::ostream& out) {
-  const JsonValue* frontier =
-      result.is_object() ? result.Find("frontier") : nullptr;
-  if (frontier == nullptr) {
+JsonValue HandleOptimizeCommand(const JsonValue& command,
+                                SolveBackend& backend,
+                                obs::MetricsRegistry* registry,
+                                const OptimizerHooks& hooks) {
+  return HandleLongCommand("optimize", command, [&](const JsonValue& spec) {
+    return Optimizer(ParseOptimizeSpec(spec), backend, registry, hooks).Run();
+  });
+}
+
+void WriteRowsThenSummary(const JsonValue& result,
+                          const std::string& rows_key, std::ostream& out) {
+  const JsonValue* rows = result.is_object() ? result.Find(rows_key) : nullptr;
+  if (rows == nullptr) {
     out << result.ToString() << '\n';
     return;
   }
-  for (const JsonValue& point : frontier->Items()) {
-    out << point.ToString() << '\n';
-  }
+  for (const JsonValue& row : rows->Items()) out << row.ToString() << '\n';
   JsonValue summary = JsonValue::Object();
   for (const auto& [key, value] : result.Fields()) {
-    if (key == "frontier") {
-      summary.Set("frontier_size", static_cast<std::int64_t>(value.Size()));
+    if (key == rows_key) {
+      summary.Set(rows_key + "_size", static_cast<std::int64_t>(value.Size()));
     } else {
       summary.Set(key, value);
     }

@@ -34,6 +34,7 @@
 #include <ostream>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
@@ -62,6 +63,45 @@ struct OptimizerHooks {
   // Optional external cancellation (e.g. a connection token), checked
   // between batches; cancellation aborts the run with Cancelled.
   std::shared_ptr<const resilience::CancelToken> cancel;
+};
+
+// Holds a long command's "active" gauge (opt_active, adapt_active) up for
+// its lifetime, exception-safe. A null gauge is a no-op.
+struct ActiveGuard {
+  explicit ActiveGuard(obs::Gauge* gauge) : gauge_(gauge) {
+    if (gauge_ != nullptr) gauge_->Add(1);
+  }
+  ~ActiveGuard() {
+    if (gauge_ != nullptr) gauge_->Add(-1);
+  }
+  obs::Gauge* gauge_;
+};
+
+// The checks a long command (optimize, adapt) makes between inner-solve
+// batches: external cancellation, the run's wall-clock deadline and
+// per-batch admission. A refusal ends the run with what it has so far,
+// tagged degraded, and counts one deadline partial.
+class BatchGate {
+ public:
+  BatchGate(OptimizerHooks hooks, obs::Counter* deadline_partial)
+      : hooks_(std::move(hooks)), deadline_partial_(deadline_partial) {}
+
+  // Starts the run's clock; 0 = no deadline.
+  void Start(std::int64_t deadline_ms);
+  // Before each batch: throws resilience::Cancelled when hooks.cancel
+  // fired; false once the deadline has expired.
+  bool KeepGoing();
+  // False when the admission hook refuses a batch of `batch_size` solves.
+  bool Admit(std::size_t batch_size);
+  bool degraded() const { return degraded_; }
+
+ private:
+  bool Refuse();
+
+  OptimizerHooks hooks_;
+  obs::Counter* deadline_partial_;
+  resilience::Deadline deadline_;
+  bool degraded_ = false;
 };
 
 // opt_* handles in a metrics registry, resolved once so the search loop
@@ -118,9 +158,8 @@ class Optimizer {
     bool feasible = false;
   };
 
-  // False = stop the search now (deadline expired / admission refused),
-  // with whatever has been evaluated so far as the partial result.
-  bool KeepGoing();
+  // False = stop the search now (admission refused), with whatever has
+  // been evaluated so far as the partial result.
   bool EvaluateBatch(const std::vector<Candidate>& batch, bool refining);
   // The +/- step/2^round neighborhood of `center` over the set axes,
   // deduplicated against everything already evaluated.
@@ -134,9 +173,8 @@ class Optimizer {
 
   OptimizeSpec spec_;
   SolveBackend& backend_;
-  OptimizerHooks hooks_;
   std::unique_ptr<OptMetrics> metrics_;  // null without a registry
-  resilience::Deadline deadline_;
+  BatchGate gate_;
 
   std::vector<Eval> evaluated_;
   std::unordered_set<std::string> seen_;
@@ -145,22 +183,30 @@ class Optimizer {
   std::size_t solve_errors_ = 0;
   std::uint64_t batches_ = 0;
   int refine_rounds_done_ = 0;
-  bool degraded_ = false;
 };
 
-// Handles one {"cmd": "optimize", "id": ..., "spec": {...}} command object
-// (serve and serve-tcp). Returns the response object: the echoed id plus
-// either {"result": <Optimizer::Run() output>} or {"error", "error_code"}.
-// Never throws — cancellation and spec errors become structured error
-// responses, matching the engine's per-request error isolation.
+// Handles one {"cmd": <name>, "id": ..., "tenant": ..., "spec": {...}}
+// long-command object (serve and serve-tcp): rejects other keys, passes
+// the spec to `run`, and returns the response object — the echoed id plus
+// either {"result": run(spec)} or {"error", "error_code"} with error_code
+// invalid_argument | internal | resilience::CancelErrorCode(reason). Never
+// throws, matching the engine's per-request error isolation.
+JsonValue HandleLongCommand(
+    const std::string& name, const JsonValue& command,
+    const std::function<JsonValue(const JsonValue& spec)>& run);
+
+// HandleLongCommand for {"cmd": "optimize"}: Optimizer::Run() over the
+// parsed spec.
 JsonValue HandleOptimizeCommand(const JsonValue& command,
                                 SolveBackend& backend,
                                 obs::MetricsRegistry* registry,
                                 const OptimizerHooks& hooks = {});
 
-// CLI rendering: mode "optimize" prints the result as one JSON line; mode
-// "frontier" prints one JSON line per frontier point followed by a summary
-// line where the frontier array is replaced by "frontier_size".
-void WriteOptimizeOutput(const JsonValue& result, std::ostream& out);
+// CLI rendering of a long-command result: one JSON line per element of its
+// `rows_key` array (optimize's "frontier", adapt's "epochs"), then a
+// summary line where that array is replaced by "<rows_key>_size". A result
+// without the array prints as one line.
+void WriteRowsThenSummary(const JsonValue& result,
+                          const std::string& rows_key, std::ostream& out);
 
 }  // namespace sparsedet::opt

@@ -2,124 +2,57 @@
 
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/error.h"
 #include "engine/request.h"
 
 namespace sparsedet::opt {
-namespace {
 
-[[noreturn]] void FailKey(const std::string& section, const std::string& key,
-                          const std::string& message) {
-  std::ostringstream os;
-  os << "spec field \"" << (section.empty() ? key : section + "." + key)
-     << "\": " << message;
-  throw InvalidArgument(os.str());
-}
-
-// Strict typed field extraction, the request.cc idiom: every section lists
-// its allowed keys so a typo is named instead of silently ignored.
-void CheckKeys(const JsonValue& obj, const std::string& section,
-               const std::vector<std::string>& allowed) {
-  for (const auto& [key, value] : obj.Fields()) {
-    bool known = false;
-    for (const std::string& a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::ostringstream os;
-      os << "unknown spec field \""
-         << (section.empty() ? key : section + "." + key) << "\"";
-      throw InvalidArgument(os.str());
-    }
-  }
-}
-
-double GetNumber(const JsonValue& obj, const std::string& section,
-                 const std::string& key, double fallback) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) FailKey(section, key, "expected a number");
-  return v->AsDouble();
-}
-
-double RequireNumber(const JsonValue& obj, const std::string& section,
-                     const std::string& key) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) FailKey(section, key, "required");
-  if (!v->is_number()) FailKey(section, key, "expected a number");
-  return v->AsDouble();
-}
-
-int GetInt(const JsonValue& obj, const std::string& section,
-           const std::string& key, int fallback) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) FailKey(section, key, "expected an integer");
-  const double d = v->AsDouble();
-  if (d != std::floor(d) || std::abs(d) > 1e9) {
-    FailKey(section, key, "expected an integer");
-  }
-  return static_cast<int>(d);
-}
-
-std::string GetString(const JsonValue& obj, const std::string& section,
-                      const std::string& key, const std::string& fallback) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_string()) FailKey(section, key, "expected a string");
-  return v->AsString();
-}
-
-// Everything here is reachable from an untrusted {"cmd":"optimize"}
-// network request, so the axis must be provably small *before* any vector
-// is materialized: endpoints bounded, the step guaranteed to advance the
-// iterate in double precision (a sub-ulp step would loop forever), and the
-// closed-form count checked against the grid cap.
-AxisSpec ParseAxis(const JsonValue& obj, const std::string& section,
+// Everything here is reachable from an untrusted {"cmd":"optimize"} or
+// {"cmd":"adapt"} network request, so the axis must be provably small
+// *before* any vector is materialized: endpoints bounded, the step
+// guaranteed to advance the iterate in double precision (a sub-ulp step
+// would loop forever), and the closed-form count checked against the grid
+// cap.
+AxisSpec ParseAxis(const engine::FieldReader& search, const std::string& name,
                    bool integer) {
-  if (!obj.is_object()) FailKey("search", section, "expected an object");
-  CheckKeys(obj, "search." + section, {"from", "to", "step"});
   AxisSpec axis;
+  const std::optional<engine::FieldReader> r =
+      search.Section(name, {"from", "to", "step"});
+  if (!r.has_value()) return axis;
   axis.set = true;
-  axis.from = RequireNumber(obj, "search." + section, "from");
-  axis.to = RequireNumber(obj, "search." + section, "to");
-  axis.step = GetNumber(obj, "search." + section, "step", 1.0);
+  axis.from = r->RequiredNumber("from");
+  axis.to = r->RequiredNumber("to");
+  axis.step = r->Number("step", 1.0);
   if (!std::isfinite(axis.from) || std::abs(axis.from) > 1e9) {
-    FailKey("search." + section, "from", "expected finite in [-1e9, 1e9]");
+    r->FailKey("from", "expected finite in [-1e9, 1e9]");
   }
   if (!std::isfinite(axis.to) || std::abs(axis.to) > 1e9) {
-    FailKey("search." + section, "to", "expected finite in [-1e9, 1e9]");
+    r->FailKey("to", "expected finite in [-1e9, 1e9]");
   }
   if (!std::isfinite(axis.step) || !(axis.step > 0.0)) {
-    FailKey("search." + section, "step", "expected > 0");
+    r->FailKey("step", "expected > 0");
   }
-  if (axis.to < axis.from) {
-    FailKey("search." + section, "to", "expected >= from");
-  }
+  if (axis.to < axis.from) r->FailKey("to", "expected >= from");
   if (integer) {
     if (axis.from != std::floor(axis.from)) {
-      FailKey("search." + section, "from", "expected an integer");
+      r->FailKey("from", "expected an integer");
     }
     if (axis.step != std::floor(axis.step)) {
-      FailKey("search." + section, "step", "expected an integer");
+      r->FailKey("step", "expected an integer");
     }
   }
   if (axis.from + axis.step == axis.from ||
       axis.to + axis.step == axis.to) {
-    FailKey("search." + section, "step",
-            "too small to advance the axis at this magnitude");
+    r->FailKey("step", "too small to advance the axis at this magnitude");
   }
   if (axis.Count() > kMaxGridCandidates) {
     std::ostringstream os;
     os << "axis expands to more than " << kMaxGridCandidates << " values";
-    FailKey("search." + section, "step", os.str());
+    r->FailKey("step", os.str());
   }
   return axis;
 }
@@ -129,8 +62,6 @@ JsonValue AxisToJson(const AxisSpec& axis) {
   json.Set("from", axis.from).Set("to", axis.to).Set("step", axis.step);
   return json;
 }
-
-}  // namespace
 
 std::string ObjectiveName(Objective objective) {
   switch (objective) {
@@ -196,13 +127,13 @@ OptimizeSpec ParseOptimizeSpec(const JsonValue& json) {
   if (!json.is_object()) {
     throw InvalidArgument("optimize spec must be a JSON object");
   }
-  CheckKeys(json, "",
-            {"objective", "mode", "constraints", "search", "params",
-             "options", "energy", "refine_rounds", "deadline_ms"});
+  const engine::FieldReader r(
+      json, "spec", "",
+      {"objective", "mode", "constraints", "search", "params", "options",
+       "energy", "refine_rounds", "deadline_ms"});
 
   OptimizeSpec spec;
-  const std::string objective =
-      GetString(json, "", "objective", "min_nodes");
+  const std::string objective = r.String("objective", "min_nodes");
   if (objective == "min_nodes") {
     spec.objective = Objective::kMinNodes;
   } else if (objective == "min_energy") {
@@ -210,122 +141,93 @@ OptimizeSpec ParseOptimizeSpec(const JsonValue& json) {
   } else if (objective == "max_detection") {
     spec.objective = Objective::kMaxDetection;
   } else {
-    FailKey("", "objective",
-            "expected \"min_nodes\", \"min_energy\" or \"max_detection\"");
+    r.FailKey("objective",
+              "expected \"min_nodes\", \"min_energy\" or \"max_detection\"");
   }
-  const std::string mode = GetString(json, "", "mode", "optimize");
+  const std::string mode = r.String("mode", "optimize");
   if (mode == "optimize") {
     spec.mode = SearchMode::kOptimize;
   } else if (mode == "frontier") {
     spec.mode = SearchMode::kFrontier;
   } else {
-    FailKey("", "mode", "expected \"optimize\" or \"frontier\"");
+    r.FailKey("mode", "expected \"optimize\" or \"frontier\"");
   }
 
-  if (const JsonValue* constraints = json.Find("constraints")) {
-    if (!constraints->is_object()) {
-      FailKey("", "constraints", "expected an object");
-    }
-    CheckKeys(*constraints, "constraints",
-              {"min_detection", "pf", "max_fa", "min_lifetime_days"});
-    spec.min_detection = GetNumber(*constraints, "constraints",
-                                   "min_detection", spec.min_detection);
-    spec.pf = GetNumber(*constraints, "constraints", "pf", spec.pf);
-    spec.max_fa =
-        GetNumber(*constraints, "constraints", "max_fa", spec.max_fa);
-    spec.min_lifetime_days = GetNumber(
-        *constraints, "constraints", "min_lifetime_days",
-        spec.min_lifetime_days);
+  if (const auto c = r.Section("constraints", {"min_detection", "pf", "max_fa",
+                                               "min_lifetime_days"})) {
+    spec.min_detection = c->Number("min_detection", spec.min_detection);
+    spec.pf = c->Number("pf", spec.pf);
+    spec.max_fa = c->Number("max_fa", spec.max_fa);
+    spec.min_lifetime_days =
+        c->Number("min_lifetime_days", spec.min_lifetime_days);
     if (spec.min_detection < 0.0 || spec.min_detection > 1.0) {
-      FailKey("constraints", "min_detection", "expected in [0, 1]");
+      c->FailKey("min_detection", "expected in [0, 1]");
     }
-    if (spec.pf < 0.0 || spec.pf > 1.0) {
-      FailKey("constraints", "pf", "expected in [0, 1]");
-    }
+    if (spec.pf < 0.0 || spec.pf > 1.0) c->FailKey("pf", "expected in [0, 1]");
     if (spec.max_fa < 0.0 || spec.max_fa > 1.0) {
-      FailKey("constraints", "max_fa", "expected in [0, 1]");
+      c->FailKey("max_fa", "expected in [0, 1]");
     }
     if (spec.min_lifetime_days < 0.0) {
-      FailKey("constraints", "min_lifetime_days", "expected >= 0");
+      c->FailKey("min_lifetime_days", "expected >= 0");
     }
   }
 
-  if (const JsonValue* search = json.Find("search")) {
-    if (!search->is_object()) FailKey("", "search", "expected an object");
-    CheckKeys(*search, "search", {"nodes", "k", "window", "period", "duty"});
-    if (const JsonValue* axis = search->Find("nodes")) {
-      spec.nodes = ParseAxis(*axis, "nodes", /*integer=*/true);
-      if (spec.nodes.from < 1.0) FailKey("search.nodes", "from", "expected >= 1");
+  if (const auto search =
+          r.Section("search", {"nodes", "k", "window", "period", "duty"})) {
+    spec.nodes = ParseAxis(*search, "nodes", /*integer=*/true);
+    if (spec.nodes.set && spec.nodes.from < 1.0) {
+      search->FailKey("nodes.from", "expected >= 1");
     }
-    if (const JsonValue* axis = search->Find("k")) {
-      spec.k = ParseAxis(*axis, "k", /*integer=*/true);
-      if (spec.k.from < 1.0) FailKey("search.k", "from", "expected >= 1");
+    spec.k = ParseAxis(*search, "k", /*integer=*/true);
+    if (spec.k.set && spec.k.from < 1.0) {
+      search->FailKey("k.from", "expected >= 1");
     }
-    if (const JsonValue* axis = search->Find("window")) {
-      spec.window = ParseAxis(*axis, "window", /*integer=*/true);
-      if (spec.window.from < 1.0) {
-        FailKey("search.window", "from", "expected >= 1");
-      }
+    spec.window = ParseAxis(*search, "window", /*integer=*/true);
+    if (spec.window.set && spec.window.from < 1.0) {
+      search->FailKey("window.from", "expected >= 1");
     }
-    if (const JsonValue* axis = search->Find("period")) {
-      spec.period = ParseAxis(*axis, "period", /*integer=*/false);
-      if (!(spec.period.from > 0.0)) {
-        FailKey("search.period", "from", "expected > 0");
-      }
+    spec.period = ParseAxis(*search, "period", /*integer=*/false);
+    if (spec.period.set && !(spec.period.from > 0.0)) {
+      search->FailKey("period.from", "expected > 0");
     }
-    if (const JsonValue* axis = search->Find("duty")) {
-      spec.duty = ParseAxis(*axis, "duty", /*integer=*/false);
-      if (!(spec.duty.from > 0.0)) {
-        FailKey("search.duty", "from", "expected > 0");
-      }
-      if (spec.duty.to > 1.0) FailKey("search.duty", "to", "expected <= 1");
+    spec.duty = ParseAxis(*search, "duty", /*integer=*/false);
+    if (spec.duty.set && !(spec.duty.from > 0.0)) {
+      search->FailKey("duty.from", "expected > 0");
+    }
+    if (spec.duty.set && spec.duty.to > 1.0) {
+      search->FailKey("duty.to", "expected <= 1");
     }
   }
 
-  if (const JsonValue* params = json.Find("params")) {
-    if (!params->is_object()) FailKey("", "params", "expected an object");
+  if (const JsonValue* params = r.Object("params")) {
     spec.params = engine::ParseParamsSection(*params);
   }
-  if (const JsonValue* options = json.Find("options")) {
-    if (!options->is_object()) FailKey("", "options", "expected an object");
+  if (const JsonValue* options = r.Object("options")) {
     spec.options = engine::ParseOptionsSection(*options);
   }
 
-  if (const JsonValue* energy = json.Find("energy")) {
-    if (!energy->is_object()) FailKey("", "energy", "expected an object");
-    CheckKeys(*energy, "energy",
-              {"battery", "sense", "idle", "tx", "rx", "hops"});
+  if (const auto e = r.Section("energy", {"battery", "sense", "idle", "tx",
+                                          "rx", "hops"})) {
     spec.energy.battery_joules =
-        GetNumber(*energy, "energy", "battery", spec.energy.battery_joules);
-    spec.energy.sense_cost_per_period = GetNumber(
-        *energy, "energy", "sense", spec.energy.sense_cost_per_period);
-    spec.energy.idle_cost_per_period = GetNumber(
-        *energy, "energy", "idle", spec.energy.idle_cost_per_period);
-    spec.energy.tx_cost_per_report_hop = GetNumber(
-        *energy, "energy", "tx", spec.energy.tx_cost_per_report_hop);
-    spec.energy.rx_cost_per_report_hop = GetNumber(
-        *energy, "energy", "rx", spec.energy.rx_cost_per_report_hop);
-    spec.mean_hops = GetNumber(*energy, "energy", "hops", spec.mean_hops);
+        e->Number("battery", spec.energy.battery_joules);
+    spec.energy.sense_cost_per_period =
+        e->Number("sense", spec.energy.sense_cost_per_period);
+    spec.energy.idle_cost_per_period =
+        e->Number("idle", spec.energy.idle_cost_per_period);
+    spec.energy.tx_cost_per_report_hop =
+        e->Number("tx", spec.energy.tx_cost_per_report_hop);
+    spec.energy.rx_cost_per_report_hop =
+        e->Number("rx", spec.energy.rx_cost_per_report_hop);
+    spec.mean_hops = e->Number("hops", spec.mean_hops);
     spec.energy.Validate();
-    if (!(spec.mean_hops >= 0.0)) {
-      FailKey("energy", "hops", "expected >= 0");
-    }
+    if (!(spec.mean_hops >= 0.0)) e->FailKey("hops", "expected >= 0");
   }
 
-  spec.refine_rounds = GetInt(json, "", "refine_rounds", spec.refine_rounds);
+  spec.refine_rounds = r.Int("refine_rounds", spec.refine_rounds);
   if (spec.refine_rounds < 0 || spec.refine_rounds > 16) {
-    FailKey("", "refine_rounds", "expected in [0, 16]");
+    r.FailKey("refine_rounds", "expected in [0, 16]");
   }
-  const double deadline =
-      GetNumber(json, "", "deadline_ms",
-                static_cast<double>(spec.deadline_ms));
-  // The 9.0e15 bound matches the engine request parser: every accepted
-  // value is exactly representable in int64_t, so the cast below is safe.
-  if (deadline < 0.0 || deadline != std::floor(deadline) ||
-      deadline > 9.0e15) {
-    FailKey("", "deadline_ms", "expected a non-negative integer");
-  }
-  spec.deadline_ms = static_cast<std::int64_t>(deadline);
+  spec.deadline_ms = r.NonNegativeInt("deadline_ms", spec.deadline_ms);
 
   if (spec.GridSize() > kMaxGridCandidates) {
     std::ostringstream os;
@@ -353,24 +255,6 @@ JsonValue SpecToJson(const OptimizeSpec& spec) {
   if (spec.period.set) search.Set("period", AxisToJson(spec.period));
   if (spec.duty.set) search.Set("duty", AxisToJson(spec.duty));
 
-  JsonValue params = JsonValue::Object();
-  params.Set("field_width", spec.params.field_width)
-      .Set("field_height", spec.params.field_height)
-      .Set("nodes", spec.params.num_nodes)
-      .Set("rs", spec.params.sensing_range)
-      .Set("rc", spec.params.comm_range)
-      .Set("pd", spec.params.detect_prob)
-      .Set("period", spec.params.period_length)
-      .Set("speed", spec.params.target_speed)
-      .Set("window", spec.params.window_periods)
-      .Set("k", spec.params.threshold_reports);
-
-  JsonValue options = JsonValue::Object();
-  options.Set("gh", spec.options.gh)
-      .Set("g", spec.options.g)
-      .Set("normalize", spec.options.normalize)
-      .Set("reliability", spec.options.node_reliability);
-
   JsonValue energy = JsonValue::Object();
   energy.Set("battery", spec.energy.battery_joules)
       .Set("sense", spec.energy.sense_cost_per_period)
@@ -384,8 +268,8 @@ JsonValue SpecToJson(const OptimizeSpec& spec) {
       .Set("mode", SearchModeName(spec.mode))
       .Set("constraints", std::move(constraints))
       .Set("search", std::move(search))
-      .Set("params", std::move(params))
-      .Set("options", std::move(options))
+      .Set("params", engine::ParamsToJson(spec.params))
+      .Set("options", engine::OptionsToJson(spec.options))
       .Set("energy", std::move(energy))
       .Set("refine_rounds", spec.refine_rounds)
       .Set("deadline_ms", spec.deadline_ms);

@@ -47,6 +47,7 @@
 #include "core/energy_model.h"
 #include "core/ms_approach.h"
 #include "core/params.h"
+#include "engine/request.h"
 
 namespace sparsedet::opt {
 
@@ -120,6 +121,15 @@ struct OptimizeSpec {
 // mirroring the engine's sweep-point cap: serve mode must never accept a
 // request that enqueues unbounded work.
 inline constexpr std::size_t kMaxGridCandidates = 100000;
+
+// Reads search axis `name` of the "search" section `search` (unset when
+// absent), checked in closed form: finite endpoints within +/-1e9, to >=
+// from, a step that advances both endpoints, integral from/step when
+// `integer`, and at most kMaxGridCandidates values. Domain floors (e.g.
+// from >= 1) are the caller's. AxisToJson writes what ParseAxis reads.
+AxisSpec ParseAxis(const engine::FieldReader& search, const std::string& name,
+                   bool integer);
+JsonValue AxisToJson(const AxisSpec& axis);
 
 // Parses and validates one spec object. Throws InvalidArgument with a
 // key-specific message on unknown keys, type mismatches, out-of-domain

@@ -47,6 +47,19 @@ const char* CancelReasonName(CancelReason reason) {
   return "?";
 }
 
+const char* CancelErrorCode(CancelReason reason) {
+  switch (reason) {
+    case CancelReason::kDeadline:
+      return "deadline_exceeded";
+    case CancelReason::kWatchdog:
+      return "watchdog_cancelled";
+    case CancelReason::kDisconnect:
+      return "disconnected";
+    default:
+      return "cancelled";
+  }
+}
+
 void CancelToken::Cancel(CancelReason reason) const {
   int expected = static_cast<int>(CancelReason::kNone);
   reason_.compare_exchange_strong(expected, static_cast<int>(reason),

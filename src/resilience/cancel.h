@@ -60,6 +60,11 @@ enum class CancelReason : int {
 // "deadline", "watchdog", ... for error messages and span fields.
 const char* CancelReasonName(CancelReason reason);
 
+// The "error_code" a cancelled request or long command reports:
+// deadline_exceeded | watchdog_cancelled | disconnected | cancelled. The
+// engine, optimize and adapt share it so clients branch on one vocabulary.
+const char* CancelErrorCode(CancelReason reason);
+
 // Thrown by CancellationPoint() / ThrowIfCancelled().
 class Cancelled : public Error {
  public:

@@ -58,6 +58,28 @@ TEST(FlagParser, FinishCatchesUnknownFlags) {
   EXPECT_THROW(flags.Finish(), InvalidArgument);
 }
 
+TEST(FlagParser, RejectsIntegersOutsideIntRange) {
+  // strtol accepts these, but a cast to int would wrap them to 240 and 1.
+  for (const char* value : {"4294967536", "4294967297", "-2147483649",
+                            "99999999999999999999"}) {
+    FlagParser flags = Parse({"--nodes", value});
+    EXPECT_THROW(flags.GetInt("nodes", 0, ""), InvalidArgument) << value;
+  }
+  FlagParser edge = Parse({"--nodes", "2147483647"});
+  EXPECT_EQ(edge.GetInt("nodes", 0, ""), 2147483647);
+}
+
+TEST(FlagParser, BareHelpRequestsUsage) {
+  FlagParser flags = Parse({"--help", "--nodes", "5"});
+  flags.GetInt("nodes", 60, "number of sensor nodes");
+  try {
+    flags.Finish();
+    ADD_FAILURE() << "Finish() ignored --help";
+  } catch (const HelpRequested& help) {
+    EXPECT_EQ(help.usage(), flags.Usage());
+  }
+}
+
 TEST(FlagParser, UsageListsDeclaredFlags) {
   FlagParser flags = Parse({});
   flags.GetInt("nodes", 60, "number of sensor nodes");
@@ -266,6 +288,12 @@ TEST(Cli, MalformedFlagValuesDiagnoseAndFailPerCommand) {
       {"simulate", "--geometry", "spherical"},
       {"sweep", "--step", "0"},
       {"sweep", "--from", "100", "--to", "50"},
+      {"sweep", "--param", "bogus"},
+      // A step too small to advance the value: stopped by the point cap
+      // before anything is evaluated, instead of looping forever.
+      {"sweep", "--from", "60", "--to", "61", "--step", "1e-300"},
+      {"analyze", "--nodes", "4294967536"},
+      {"simulate", "--trials", "4294967297"},
       {"fa", "--max-k", "many"},
       {"plan", "--target-detection", "1.5"},
       {"latency", "--window", "oops"},
@@ -293,6 +321,23 @@ TEST(Cli, UnknownFlagFailsForEveryCommand) {
     EXPECT_EQ(code, 2) << command;
     EXPECT_NE(err.find("unknown flag"), std::string::npos) << command;
   }
+}
+
+TEST(Cli, HelpListsFlagsForEveryCommand) {
+  for (const char* command :
+       {"analyze", "simulate", "plan", "fa", "sweep", "latency", "trace",
+        "batch", "optimize", "adapt", "serve", "serve-tcp", "metrics-dump"}) {
+    std::string out;
+    std::string err;
+    EXPECT_EQ(RunCli({command, "--help"}, out, err), 0) << command << err;
+    EXPECT_NE(out.find("(default "), std::string::npos) << command;
+    EXPECT_TRUE(err.empty()) << command << err;
+  }
+  std::string out;
+  std::string err;
+  ASSERT_EQ(RunCli({"analyze", "--help"}, out, err), 0);
+  EXPECT_NE(out.find("--nodes <int>"), std::string::npos) << out;
+  EXPECT_NE(out.find("--format <string>"), std::string::npos) << out;
 }
 
 TEST(Cli, UsageMentionsBatchAndServe) {

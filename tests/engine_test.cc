@@ -138,6 +138,22 @@ TEST(Request, RejectsUnknownAndMistypedFields) {
   // Out-of-domain scenario parameters are caught at parse time.
   EXPECT_THROW(ParseLine(R"({"op": "analyze", "params": {"rc": 100}})"),
                InvalidArgument);
+  // A seed must be an integer a double carries exactly: 1e30 would be an
+  // undefined double -> uint64_t cast, and 2^53 + 1 would silently run as
+  // 2^53.
+  for (const char* line :
+       {R"({"op": "simulate", "sim": {"seed": 1e30, "trials": 1}})",
+        R"({"op": "simulate",
+            "sim": {"seed": 9007199254740993, "trials": 1}})"}) {
+    try {
+      ParseLine(line);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const InvalidArgument& e) {
+      EXPECT_STREQ(e.what(),
+                   "request field \"sim.seed\": expected a non-negative "
+                   "integer");
+    }
+  }
 }
 
 TEST(Request, CanonicalKeyNormalizesNumberFormatting) {

@@ -439,7 +439,7 @@ TEST(WriteOptimizeOutput, FrontierModeEmitsOneLinePerPointPlusSummary) {
   spec.duty.step = 0.5;
   const JsonValue result = RunSpec(spec);
   std::ostringstream out;
-  WriteOptimizeOutput(result, out);
+  WriteRowsThenSummary(result, "frontier", out);
 
   const std::size_t frontier_size = result.Find("frontier")->Size();
   ASSERT_GT(frontier_size, 0u);
@@ -459,7 +459,7 @@ TEST(WriteOptimizeOutput, OptimizeModeIsASingleLine) {
   OptimizeSpec spec;  // one-candidate grid
   const JsonValue result = RunSpec(spec);
   std::ostringstream out;
-  WriteOptimizeOutput(result, out);
+  WriteRowsThenSummary(result, "frontier", out);
   const std::string text = out.str();
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
   EXPECT_NE(text.find("\"best\":"), std::string::npos);
