@@ -11,6 +11,7 @@
 #include "adapt/spec.h"
 #include "cli/flags.h"
 #include "common/framing.h"
+#include "server/optimize_exec.h"
 #include "server/tcp_server.h"
 #include "common/check.h"
 #include "common/json.h"
@@ -95,7 +96,7 @@ engine::EngineOptions ParseEngineOptions(FlagParser& flags) {
       "cache-capacity", 4096, "LRU result-cache entries (0 disables)"));
   options.solver_threads = static_cast<std::size_t>(flags.GetInt(
       "solver-threads", 1,
-      "intra-solve ParallelFor width per unit (0 = hardware)"));
+      "Monte-Carlo trial-batch width per unit (0 = hardware)"));
   options.memo_cache_entries = static_cast<std::size_t>(flags.GetInt(
       "memo-cache-entries", 4096,
       "solver memo-cache entries shared across requests (0 disables)"));
@@ -596,23 +597,17 @@ int CmdServe(const std::vector<std::string>& args, std::istream& in,
     flags.Finish();
 
     engine::BatchEngine batch_engine(options);
-    // {"cmd":"optimize"} lines run the inverse-deployment optimizer with
-    // the serve engine as its inner-solve backend. The hook runs
+    // Long commands ({"cmd":"optimize"}, {"cmd":"adapt"}) run inline with
+    // the serve engine as their inner-solve backend. The hook runs
     // synchronously between requests (the streaming loop holds no engine
     // state across lines), so the re-entrant RunBatch is safe.
-    opt::SyncEngineBackend optimize_backend(batch_engine);
-    batch_engine.RegisterCommand(
-        "optimize", [&batch_engine, &optimize_backend](const JsonValue& cmd) {
-          return opt::HandleOptimizeCommand(cmd, optimize_backend,
-                                            &batch_engine.registry());
-        });
-    // {"cmd":"adapt"} runs the self-healing adaptation loop on the same
-    // synchronous backend; like optimize, the hook runs between requests.
-    batch_engine.RegisterCommand(
-        "adapt", [&batch_engine, &optimize_backend](const JsonValue& cmd) {
-          return adapt::HandleAdaptCommand(cmd, optimize_backend,
-                                           &batch_engine.registry());
-        });
+    opt::SyncEngineBackend backend(batch_engine);
+    batch_engine.SetCommandHook([&](const engine::InputLine& line) {
+      const server::LongCommand* command = server::FindLongCommand(line.cmd);
+      return command != nullptr ? command->handle(line.json, backend,
+                                                  &batch_engine.registry(), {})
+                                : server::UnknownCommandError();
+    });
     if (&out == &std::cout) {
       // A real serving stdout must survive EINTR and partial write(2)s
       // (std::cout's streambuf silently drops the unwritten tail), so route
@@ -863,7 +858,6 @@ int CmdServeTcp(const std::vector<std::string>& args, std::ostream& out,
     const bool stats = flags.GetBool(
         "stats", true, "emit a final {\"stats\":...} line after drain");
     flags.Finish();
-    sopts.max_line_bytes = options.max_line_bytes;
 
     engine::BatchEngine batch_engine(options);
     server::TcpServer server(batch_engine, sopts);

@@ -14,9 +14,8 @@ namespace {
 
 std::atomic<std::size_t> g_solver_threads{0};
 
-// See SetParallelDispatchThresholdNs(); 100 us default per BENCH_PR5.json.
-constexpr std::size_t kDefaultDispatchThresholdNs = 100000;
-std::atomic<std::size_t> g_dispatch_threshold_ns{kDefaultDispatchThresholdNs};
+// See ParallelOptions::work_ns_hint.
+constexpr std::size_t kDispatchThresholdNs = 100000;
 
 // One contiguous sub-range of [0, n) owned by a worker. Workers claim
 // chunks from their own shard under its mutex; thieves split off the upper
@@ -128,15 +127,6 @@ std::size_t SolverThreads() {
   return configured == 0 ? DefaultThreadCount() : configured;
 }
 
-std::size_t SetParallelDispatchThresholdNs(std::size_t ns) {
-  return g_dispatch_threshold_ns.exchange(
-      ns == 0 ? kDefaultDispatchThresholdNs : ns, std::memory_order_relaxed);
-}
-
-std::size_t ParallelDispatchThresholdNs() {
-  return g_dispatch_threshold_ns.load(std::memory_order_relaxed);
-}
-
 void ParallelFor(std::size_t n, const ParallelOptions& options,
                  const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
@@ -144,7 +134,7 @@ void ParallelFor(std::size_t n, const ParallelOptions& options,
   // and the whole loop is cheaper than the measured dispatch overhead,
   // forking can only lose — run inline.
   if (options.work_ns_hint > 0 &&
-      n < ParallelDispatchThresholdNs() / options.work_ns_hint) {
+      n < kDispatchThresholdNs / options.work_ns_hint) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }

@@ -1,13 +1,13 @@
 // Data-parallel helper for embarrassingly parallel loops (Monte-Carlo
-// trials, per-NEDR stage pmfs, parameter sweeps).
+// trials, the literal region enumeration, parameter sweeps).
 //
 // ParallelFor runs `body(i)` for every i in [0, n) on up to `threads`
 // workers using chunked work stealing: the index range is split into one
 // contiguous shard per worker (good locality), workers claim small chunks
 // from their own shard, and a worker whose shard is exhausted steals the
-// upper half of the fullest remaining shard. Uneven per-index costs (tail
-// NEDR pmfs shrink with j; Monte-Carlo trials vary with the track drawn)
-// therefore cannot leave workers idle behind one long static partition.
+// upper half of the fullest remaining shard. Uneven per-index costs
+// (Monte-Carlo trials vary with the track drawn) therefore cannot leave
+// workers idle behind one long static partition.
 //
 // Contracts:
 //   * Results must be written to pre-sized storage indexed by `i` (or
@@ -46,16 +46,6 @@ std::size_t SetSolverThreads(std::size_t threads);
 // DefaultThreadCount() when unconfigured. Always >= 1.
 std::size_t SolverThreads();
 
-// Minimum estimated total work (in nanoseconds) below which a ParallelFor
-// call with a cost hint runs inline instead of spawning workers. The
-// default (100 us) sits above the measured 9.6-74 us dispatch cost
-// (BENCH_PR5.json BM_ParallelForDispatch), so a loop only forks when the
-// parallel upside can actually repay the spawn/join overhead. Returns the
-// previous threshold; 0 restores the default. Intended for tests and
-// calibration, not per-call tuning.
-std::size_t SetParallelDispatchThresholdNs(std::size_t ns);
-std::size_t ParallelDispatchThresholdNs();
-
 struct ParallelOptions {
   // Worker count; 0 uses SolverThreads(), 1 runs inline on the caller.
   std::size_t threads = 0;
@@ -63,11 +53,12 @@ struct ParallelOptions {
   // per-chunk claim cost (one brief mutex acquisition) amortizes.
   std::size_t grain = 1;
   // Rough per-index cost estimate in nanoseconds; 0 = unknown. When given,
-  // the loop stays serial whenever n * work_ns_hint falls below the
-  // dispatch threshold — tiny paper-sized solves then skip the 9.6-74 us
-  // spawn/join cost entirely. Results are byte-identical either way (the
-  // ParallelFor contract already requires thread-count independence), so
-  // the hint only ever changes speed, never output.
+  // the loop stays serial whenever n * work_ns_hint falls below 100 us,
+  // above the measured 9.6-74 us dispatch cost (BENCH_PR5.json
+  // BM_ParallelForDispatch), so small loops skip the spawn/join cost
+  // entirely. Results are byte-identical either way (the ParallelFor
+  // contract already requires thread-count independence), so the hint
+  // only ever changes speed, never output.
   std::size_t work_ns_hint = 0;
 };
 

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/error.h"
-#include "common/parallel.h"
 #include "core/region_pmf.h"
 #include "geometry/region_decomposition.h"
 #include "markov/chain.h"
@@ -127,41 +126,24 @@ MsApproachResult MsApproachAnalyze(const SystemParams& params,
 
     // Stage pmfs. Head uses the full DR subareas AreaH(i); Body/Tail use
     // the crescent NEDR subareas AreaB(i) / AreaT(j, i). The ms + 2 stages
-    // are independent, so they run under work stealing; each lands in its
-    // own slot, which keeps the result identical for any thread count.
+    // are independent, but fanning them out over threads did not pay even
+    // at large caps (docs/PERFORMANCE.md), so they run in a plain loop.
     MsSolveCore core;
-    std::vector<Pmf> stages(static_cast<std::size_t>(ms) + 2);
-    // Rough per-stage cost: each capped PMF is a convolution chain over
-    // ~areas.size() regions with support O(cap) — calibrated against
-    // BM_CappedRegionPmf (~2.5 us at paper sizes). Paper-sized solves stay
-    // under the dispatch threshold and run serial; large (N, gh) scenarios
-    // blow well past it and keep the work-stealing fan-out.
-    ParallelOptions stage_opts;
-    stage_opts.work_ns_hint =
-        30 * static_cast<std::size_t>(ms + 1) *
-        static_cast<std::size_t>(options.gh + 1) *
-        static_cast<std::size_t>(options.gh + 1);
-    ParallelFor(stages.size(), stage_opts, [&](std::size_t t) {
-      if (t == 0) {
-        obs::ObsTimer timer(obs::Phase::kMsHead);
-        stages[0] =
-            CappedRegionReportPmf(n, s, decomp.area_h(), pd, options.gh, rel);
-      } else if (t == 1) {
-        obs::ObsTimer timer(obs::Phase::kMsBody);
-        stages[1] =
-            CappedRegionReportPmf(n, s, decomp.area_b(), pd, options.g, rel);
-      } else {
-        obs::ObsTimer timer(obs::Phase::kMsTail);
-        stages[t] = CappedRegionReportPmf(
-            n, s, decomp.AreaTVector(static_cast<int>(t) - 1), pd, options.g,
-            rel);
-      }
-    });
-    core.head_pmf = std::move(stages[0]);
-    core.body_pmf = std::move(stages[1]);
+    {
+      obs::ObsTimer timer(obs::Phase::kMsHead);
+      core.head_pmf =
+          CappedRegionReportPmf(n, s, decomp.area_h(), pd, options.gh, rel);
+    }
+    {
+      obs::ObsTimer timer(obs::Phase::kMsBody);
+      core.body_pmf =
+          CappedRegionReportPmf(n, s, decomp.area_b(), pd, options.g, rel);
+    }
     core.tail_pmfs.reserve(static_cast<std::size_t>(ms));
     for (int j = 1; j <= ms; ++j) {
-      core.tail_pmfs.push_back(std::move(stages[static_cast<std::size_t>(j) + 1]));
+      obs::ObsTimer timer(obs::Phase::kMsTail);
+      core.tail_pmfs.push_back(CappedRegionReportPmf(
+          n, s, decomp.AreaTVector(j), pd, options.g, rel));
     }
     resilience::CancellationPoint();
 

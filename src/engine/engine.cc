@@ -56,10 +56,6 @@ struct BatchEngine::PendingRequest {
 
 namespace {
 
-bool IsBlank(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
 std::int64_t NowUnixMillis() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::system_clock::now().time_since_epoch())
@@ -155,8 +151,7 @@ BatchEngine::BatchEngine(const EngineOptions& options)
       prev_solver_threads_(SetSolverThreads(options.solver_threads)),
       metrics_(registry_),
       cache_(options.cache_capacity, registry_),
-      pool_(MakePoolOptions(options, metrics_)),
-      trace_ring_(options.trace_ring_capacity) {
+      pool_(MakePoolOptions(options, metrics_)) {
   prev_memo_capacity_ = prob::MemoCache::Global().capacity();
   prob::MemoCache::Global().SetCapacity(options_.memo_cache_entries);
   if (options_.slo.enabled()) {
@@ -233,11 +228,8 @@ JsonValue BatchEngine::OptionsJson() const {
       .Set("max_queue", static_cast<std::int64_t>(options_.max_queue))
       .Set("max_line_bytes",
            static_cast<std::int64_t>(options_.max_line_bytes))
-      .Set("max_json_depth", options_.max_json_depth)
       .Set("watchdog_stuck_ms", options_.watchdog_stuck_ms)
-      .Set("retry_max", options_.retry.max_attempts)
-      .Set("trace_ring_capacity",
-           static_cast<std::int64_t>(options_.trace_ring_capacity));
+      .Set("retry_max", options_.retry.max_attempts);
   JsonValue slo = JsonValue::Object();
   slo.Set("enabled", options_.slo.enabled())
       .Set("availability", options_.slo.availability)
@@ -285,30 +277,33 @@ JsonValue BatchEngine::StatsSnapshotJson() const {
 }
 
 std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
-    const std::string& line, int line_number,
-    std::shared_ptr<const resilience::CancelToken> parent) {
+    InputLine line, std::shared_ptr<const resilience::CancelToken> parent) {
   auto pending = std::make_unique<PendingRequest>();
-  pending->line = line_number;
-  pending->id = JsonValue(line_number);
+  pending->line = line.number;
+  // Set before validation, so even a rejected request's error line is
+  // attributable.
+  pending->id = std::move(line.id);
   pending->planned_ns = obs::NowNanos();
   pending->span.trace_id = next_trace_id_++;
-  pending->span.line = line_number;
+  pending->span.line = line.number;
   metrics_.requests->Inc();
+  if (line.kind == InputLine::Kind::kTooLong) {
+    metrics_.rejected_lines->Inc();
+    pending->parse_error = "input line exceeds max_line_bytes (" +
+                           std::to_string(options_.max_line_bytes) + ")";
+    pending->plan_error_code = pending->span.outcome = "line_too_long";
+    return pending;
+  }
+  if (!line.error.empty()) {
+    pending->parse_error = std::move(line.error);
+    return pending;
+  }
   // Fresh (non-cached, non-coalesced) units are collected here and handed
   // to the pool together once the whole request has planned, so small
   // units can share pool tasks (FlushSubmits).
   std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>> fresh;
   try {
-    const JsonValue json = ParseJson(line, options_.max_json_depth);
-    // Recover the caller's id even if validation below fails, so the error
-    // line is attributable.
-    if (json.is_object()) {
-      if (const JsonValue* id = json.Find("id");
-          id != nullptr && (id->is_string() || id->is_number())) {
-        pending->id = *id;
-      }
-    }
-    pending->request = ParseRequest(json, line_number);
+    pending->request = ParseRequest(line.json, line.number);
     pending->id = pending->request.id;
     pending->span.op = OpName(pending->request.op);
     pending->span.deadline_ms = pending->request.deadline_ms;
@@ -458,22 +453,6 @@ void BatchEngine::FlushSubmits(
       }
     });
   }
-}
-
-std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::RejectedLine(
-    int line_number, std::string message, std::string code) {
-  auto pending = std::make_unique<PendingRequest>();
-  pending->line = line_number;
-  pending->id = JsonValue(line_number);
-  pending->planned_ns = obs::NowNanos();
-  pending->span.trace_id = next_trace_id_++;
-  pending->span.line = line_number;
-  pending->span.outcome = code;
-  pending->parse_error = std::move(message);
-  pending->plan_error_code = std::move(code);
-  metrics_.requests->Inc();
-  metrics_.rejected_lines->Inc();
-  return pending;
 }
 
 void BatchEngine::SubmitUnit(const std::shared_ptr<PendingUnit>& slot,
@@ -771,102 +750,44 @@ std::string BatchEngine::RenderRequest(PendingRequest& request) {
   return text;
 }
 
-void BatchEngine::EmitRequest(PendingRequest& request, std::ostream& out) {
-  out << RenderRequest(request) << "\n";
-}
-
-bool BatchEngine::HandleCommandLine(const std::string& line,
-                                    std::string* response) {
-  JsonValue json;
-  try {
-    json = ParseJson(line, options_.max_json_depth);
-  } catch (const Error&) {
-    return false;  // not even JSON; let the request path report it
-  }
-  if (!json.is_object()) return false;
-  const JsonValue* cmd = json.Find("cmd");
-  if (cmd == nullptr) return false;
-  if (cmd->is_string() && cmd->AsString() == "stats") {
-    *response = StatsSnapshotJson().ToString();
-  } else if (cmd->is_string() &&
-             command_hooks_.count(cmd->AsString()) != 0) {
-    *response = command_hooks_.at(cmd->AsString())(json).ToString();
-  } else {
-    std::string expected = "\"stats\"";
-    for (const auto& [name, hook] : command_hooks_) {
-      expected += ", \"" + name + "\"";
-    }
-    JsonValue error = JsonValue::Object();
-    error.Set("error", "unknown cmd; expected " + expected);
-    *response = error.ToString();
-  }
-  return true;
-}
-
-void BatchEngine::RegisterCommand(const std::string& name, CommandHook hook) {
-  command_hooks_[name] = std::move(hook);
-}
-
-bool BatchEngine::MaybeHandleCommand(const std::string& line,
-                                     std::ostream& out) {
-  std::string response;
-  if (!HandleCommandLine(line, &response)) return false;
-  out << response << "\n";
-  return true;
+JsonValue BatchEngine::AnswerCommand(const InputLine& line) {
+  if (line.cmd == "stats") return StatsSnapshotJson();
+  if (command_hook_) return command_hook_(line);
+  JsonValue error = JsonValue::Object();
+  error.Set("error", "unknown cmd; expected \"stats\"");
+  return error;
 }
 
 void BatchEngine::ProcessStream(std::istream& in, std::ostream& out,
                                 bool streaming) {
-  std::string line;
+  std::string text;
   int line_number = 0;
   bool truncated = false;
-  const auto reject_long_line = [this](int number) {
-    return RejectedLine(
-        number,
-        "input line exceeds max_line_bytes (" +
-            std::to_string(options_.max_line_bytes) + ")",
-        "line_too_long");
-  };
-  if (streaming) {
-    while (framing::ReadBoundedLine(in, line, options_.max_line_bytes, &truncated)) {
-      ++line_number;
-      if (truncated) {
-        EmitRequest(*reject_long_line(line_number), out);
-        out.flush();
-        continue;
-      }
-      if (IsBlank(line)) continue;
-      // Cheap substring guard: only lines that could carry a "cmd" key pay
-      // for the extra parse. Requests never contain one (the strict parser
-      // rejects it as an unknown field).
-      if (line.find("\"cmd\"") != std::string::npos &&
-          MaybeHandleCommand(line, out)) {
-        out.flush();
-        continue;
-      }
-      std::unique_ptr<PendingRequest> request = PlanLine(line, line_number);
-      EmitRequest(*request, out);
-      out.flush();
-      in_flight_.clear();
-    }
-    return;
-  }
-
   std::vector<std::unique_ptr<PendingRequest>> planned;
-  while (framing::ReadBoundedLine(in, line, options_.max_line_bytes, &truncated)) {
-    ++line_number;
-    if (truncated) {
-      planned.push_back(reject_long_line(line_number));
+  while (framing::ReadBoundedLine(in, text, options_.max_line_bytes,
+                                  &truncated)) {
+    InputLine line = ReadInputLine(text, ++line_number, truncated);
+    if (line.kind == InputLine::Kind::kBlank) continue;
+    // Batch mode has no command channel: its "cmd" lines are requests, and
+    // the strict request parser rejects the unknown key.
+    if (!streaming) {
+      planned.push_back(PlanLine(std::move(line)));
       continue;
     }
-    if (IsBlank(line)) continue;
-    planned.push_back(PlanLine(line, line_number));
+    if (line.kind == InputLine::Kind::kCommand) {
+      out << AnswerCommand(line).ToString() << "\n";
+    } else {
+      out << RenderRequest(*PlanLine(std::move(line))) << "\n";
+      in_flight_.clear();
+    }
+    out.flush();
   }
+  if (streaming) return;
   in_flight_.clear();  // emission takes over; new batches plan afresh
 
   if (!options_.unordered) {
     for (const std::unique_ptr<PendingRequest>& request : planned) {
-      EmitRequest(*request, out);
+      out << RenderRequest(*request) << "\n";
     }
     return;
   }
@@ -895,7 +816,7 @@ void BatchEngine::ProcessStream(std::istream& in, std::ostream& out,
         return false;
       });
     }
-    EmitRequest(*planned[next], out);
+    out << RenderRequest(*planned[next]) << "\n";
     emitted[next] = true;
     --remaining;
   }
@@ -919,33 +840,22 @@ void BatchEngine::SubmitLineAsync(
     const std::string& line, int line_number,
     std::shared_ptr<const resilience::CancelToken> parent, bool oversized,
     ResponseCallback done) {
+  SubmitAsync(ReadInputLine(line, line_number, oversized), std::move(parent),
+              std::move(done));
+}
+
+void BatchEngine::SubmitAsync(
+    InputLine line, std::shared_ptr<const resilience::CancelToken> parent,
+    ResponseCallback done) {
   AsyncItem item;
   item.done = std::move(done);
-  if (oversized) {
-    std::lock_guard<std::mutex> lock(plan_mutex_);
-    item.request = RejectedLine(
-        line_number,
-        "input line exceeds max_line_bytes (" +
-            std::to_string(options_.max_line_bytes) + ")",
-        "line_too_long");
+  if (line.kind == InputLine::Kind::kCommand) {
+    // Answered at emission, so a pipelined {"cmd":"stats"} reflects every
+    // request submitted before it.
+    item.command = std::move(line);
   } else {
-    // Command lines are classified here but rendered at emission, so a
-    // pipelined {"cmd":"stats"} reflects every request submitted before it.
-    bool is_command = false;
-    if (line.find("\"cmd\"") != std::string::npos) {
-      try {
-        const JsonValue json = ParseJson(line, options_.max_json_depth);
-        is_command = json.is_object() && json.Find("cmd") != nullptr;
-      } catch (const Error&) {
-        is_command = false;
-      }
-    }
-    if (is_command) {
-      item.command_line = line;
-    } else {
-      std::lock_guard<std::mutex> lock(plan_mutex_);
-      item.request = PlanLine(line, line_number, std::move(parent));
-    }
+    std::lock_guard<std::mutex> lock(plan_mutex_);
+    item.request = PlanLine(std::move(line), std::move(parent));
   }
   {
     std::lock_guard<std::mutex> lock(async_mutex_);
@@ -966,16 +876,9 @@ void BatchEngine::EmitterLoop() {
       item = std::move(async_queue_.front());
       async_queue_.pop_front();
     }
-    std::string text;
-    if (item.request != nullptr) {
-      text = RenderRequest(*item.request);
-    } else if (!HandleCommandLine(item.command_line, &text)) {
-      // Unreachable: SubmitLineAsync only queues lines that classified as
-      // commands, and classification and handling parse identically.
-      JsonValue error = JsonValue::Object();
-      error.Set("error", "internal: command line failed to parse");
-      text = error.ToString();
-    }
+    std::string text = item.request != nullptr
+                           ? RenderRequest(*item.request)
+                           : AnswerCommand(item.command).ToString();
     if (item.done) item.done(std::move(text));
     {
       std::lock_guard<std::mutex> lock(async_mutex_);

@@ -18,7 +18,8 @@
 //
 // Per-request error isolation: a malformed line or an invalid scenario
 // yields one {"id": ..., "error": ...} line; the engine itself never
-// throws for bad input and keeps processing the stream.
+// throws for bad input and keeps processing the stream. Every line is read
+// once, by ReadInputLine (input_line.h), whichever entry point it takes.
 //
 // Observability: every engine owns an obs::MetricsRegistry. All stats
 // counters live in it (incremented on the coordinator, so they stay
@@ -35,7 +36,6 @@
 #include <fstream>
 #include <functional>
 #include <istream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -47,6 +47,7 @@
 
 #include "common/json.h"
 #include "engine/cache.h"
+#include "engine/input_line.h"
 #include "engine/request.h"
 #include "engine/worker_pool.h"
 #include "obs/metrics.h"
@@ -62,11 +63,11 @@ namespace sparsedet::engine {
 struct EngineOptions {
   std::size_t threads = 0;  // worker threads; 0 = hardware concurrency
   std::size_t cache_capacity = 4096;  // LRU entries; 0 disables the cache
-  // Intra-solve ParallelFor width per work unit ("--solver-threads").
-  // Defaults to 1: the pool already saturates the machine with one unit
-  // per worker, so nested parallelism only helps when requests are scarce.
-  // 0 = hardware concurrency. Installed process-wide for the engine's
-  // lifetime and restored on destruction.
+  // ParallelFor width inside one work unit ("--solver-threads"): it sizes
+  // Monte-Carlo trial batches. Defaults to 1: the pool already saturates
+  // the machine with one unit per worker, so nested parallelism only helps
+  // when requests are scarce. 0 = hardware concurrency. Installed
+  // process-wide for the engine's lifetime and restored on destruction.
   std::size_t solver_threads = 1;
   // Capacity of the process-wide solver memo cache in entries
   // ("--memo-cache-entries"); 0 disables memoization. Installed at
@@ -96,7 +97,6 @@ struct EngineOptions {
   std::size_t max_queue = 0;  // reject requests whose units would push the
                               // pool backlog past this; 0 = unbounded
   std::size_t max_line_bytes = 1 << 20;  // reject longer input lines; 0 = off
-  int max_json_depth = 64;  // nesting cap for request lines
   resilience::RetryPolicy retry;  // transient-fault retry schedule
   std::int64_t watchdog_stuck_ms = 0;  // cancel units stuck longer; 0 = off
   std::string fault_config;  // FaultInjector JSON (testing); "" = disabled
@@ -106,8 +106,6 @@ struct EngineOptions {
   // default-registry snapshot — and the determinism contract around it —
   // is untouched for existing invocations.
   obs::SloOptions slo;
-  // Capacity of the completed-span ring behind /tracez.
-  std::size_t trace_ring_capacity = obs::TraceRing::kDefaultCapacity;
 };
 
 // Deterministic counter snapshot; the shape of the final stats line.
@@ -181,9 +179,9 @@ class BatchEngine {
   void RunBatch(std::istream& in, std::ostream& out);
 
   // Long-running loop: one request line in, one response line out
-  // (flushed), until EOF. Sweeps still fan out across the pool. A
-  // {"cmd":"stats"} line is answered with StatsSnapshotJson() instead of
-  // being treated as a request.
+  // (flushed), until EOF. Sweeps still fan out across the pool. Command
+  // lines ({"cmd": ...}) are answered by AnswerCommand instead of being
+  // treated as requests.
   void Serve(std::istream& in, std::ostream& out);
 
   // Appends the {"stats": ...} line to `out`.
@@ -215,14 +213,15 @@ class BatchEngine {
   using CompletionHook = std::function<void(const obs::CompletedSpan&)>;
   void SetCompletionHook(CompletionHook hook) { completion_hook_ = std::move(hook); }
 
+  const EngineOptions& options() const { return options_; }
   // Effective engine configuration as JSON, for /statusz.
   JsonValue OptionsJson() const;
 
   // ---- Out-of-band submission (the TCP front-end) ----
   //
   // The async API decouples planning from emission so many connections can
-  // feed one engine concurrently. SubmitLineAsync plans the line
-  // immediately (on the caller's thread, serialized by an internal mutex)
+  // feed one engine concurrently. SubmitAsync plans the line immediately
+  // (on the caller's thread, serialized by an internal mutex)
   // and enqueues it on a global FIFO; a dedicated emitter thread renders
   // responses in FIFO order — which preserves both the per-submitter
   // response order and the coordinator-thread cache-op ordering the
@@ -236,6 +235,12 @@ class BatchEngine {
   // answered in FIFO position, reflecting all earlier submissions.
   using ResponseCallback = std::function<void(std::string response)>;
   void StartAsync();
+  // Submits a line the caller has read with ReadInputLine. Blank lines are
+  // answered like malformed ones; front ends skip them before submitting.
+  void SubmitAsync(InputLine line,
+                   std::shared_ptr<const resilience::CancelToken> parent,
+                   ResponseCallback done);
+  // SubmitAsync(ReadInputLine(line, line_number, oversized), ...).
   void SubmitLineAsync(const std::string& line, int line_number,
                        std::shared_ptr<const resilience::CancelToken> parent,
                        bool oversized, ResponseCallback done);
@@ -244,47 +249,39 @@ class BatchEngine {
   // DrainAsync + stop the emitter thread. StartAsync may be called again.
   void StopAsync();
 
-  // Streaming command lines ({"cmd": ...}); true when handled, with the
-  // response (no trailing newline) in `*response`.
-  bool HandleCommandLine(const std::string& line, std::string* response);
-
-  // Front-end extension point for additional {"cmd": ...} command types
-  // (the optimizer's "optimize"): the hook receives the parsed command
-  // object and returns the response object. Hooks run synchronously on the
-  // thread that called HandleCommandLine and may take as long as they
-  // need — the stdio serve loop is idle between requests; the TCP
-  // front-end routes long-running commands off the event loop itself.
-  // Install before traffic starts; "stats" is not overridable.
-  using CommandHook = std::function<JsonValue(const JsonValue& command)>;
-  void RegisterCommand(const std::string& name, CommandHook hook);
+  // Front-end extension point: answers every command line other than
+  // "stats" (the front end knows its own command table). Without a hook
+  // those get {"error": "unknown cmd; expected \"stats\""}. The hook runs
+  // synchronously on the thread answering the line — the serve loop, idle
+  // between requests, or the emitter thread in async mode, where it must
+  // not block. Install before traffic starts.
+  using CommandHook = std::function<JsonValue(const InputLine& line)>;
+  void SetCommandHook(CommandHook hook) { command_hook_ = std::move(hook); }
 
  private:
   struct PendingUnit;
   struct PendingRequest;
   struct AsyncItem {
     std::unique_ptr<PendingRequest> request;  // null: a command line
-    std::string command_line;
+    InputLine command;
     ResponseCallback done;
   };
 
-  // Parses + plans one input line into a pending request, submitting any
-  // newly needed evaluations to the pool. Callers hold plan_mutex_ (the
-  // sync paths are single-threaded and satisfy that trivially).
+  // Plans one read line into a pending request, submitting any newly
+  // needed evaluations to the pool. Too-long and malformed lines become
+  // pending errors. Callers hold plan_mutex_ (the sync paths are
+  // single-threaded and satisfy that trivially).
   std::unique_ptr<PendingRequest> PlanLine(
-      const std::string& line, int line_number,
+      InputLine line,
       std::shared_ptr<const resilience::CancelToken> parent = nullptr);
-  // A pending request that never parses: oversized line, overload.
-  std::unique_ptr<PendingRequest> RejectedLine(int line_number,
-                                               std::string message,
-                                               std::string code);
   // Blocks until the request's units are done, inserts newly computed
   // results into the cache, and returns the rendered response line (no
   // trailing newline).
   std::string RenderRequest(PendingRequest& request);
-  void EmitRequest(PendingRequest& request, std::ostream& out);
   void ProcessStream(std::istream& in, std::ostream& out, bool streaming);
-  // Streaming-mode command lines ({"cmd": ...}); true when handled.
-  bool MaybeHandleCommand(const std::string& line, std::ostream& out);
+  // The response object for a command line: "stats" is answered with
+  // StatsSnapshotJson(), every other name by the command hook.
+  JsonValue AnswerCommand(const InputLine& line);
   void EmitterLoop();
   // Hands one evaluation attempt for `unit` to the pool. Attempt 1 comes
   // from the coordinator; retries resubmit from the failing worker.
@@ -324,7 +321,7 @@ class BatchEngine {
   obs::TraceRing trace_ring_;
   std::unique_ptr<obs::SloTracker> slo_;  // null unless options.slo enabled
   CompletionHook completion_hook_;        // set before traffic, or never
-  std::map<std::string, CommandHook> command_hooks_;  // sorted: error text
+  CommandHook command_hook_;              // set before traffic, or never
 
   // Units planned but not yet handed to emission, keyed by canonical key;
   // identical units join the same slot instead of recomputing.

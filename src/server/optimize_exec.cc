@@ -3,10 +3,8 @@
 #include <chrono>
 #include <utility>
 
-#include "adapt/adapt.h"
 #include "obs/log.h"
 #include "opt/backend.h"
-#include "opt/optimizer.h"
 
 namespace sparsedet::server {
 namespace {
@@ -18,6 +16,23 @@ std::int64_t NowNs() {
 }
 
 }  // namespace
+
+const LongCommand* FindLongCommand(const std::string& name) {
+  for (const LongCommand& command : kLongCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
+JsonValue UnknownCommandError() {
+  std::string expected = "\"stats\"";
+  for (const LongCommand& command : kLongCommands) {
+    expected += ", \"" + std::string(command.name) + "\"";
+  }
+  JsonValue error = JsonValue::Object();
+  error.Set("error", "unknown cmd; expected " + expected);
+  return error;
+}
 
 OptimizeExecutor::OptimizeExecutor(engine::BatchEngine& engine,
                                    TenantGovernor& governor)
@@ -54,12 +69,12 @@ void OptimizeExecutor::BeginDrain() {
 }
 
 void OptimizeExecutor::Submit(
-    JsonValue command, std::string tenant,
+    const LongCommand& command, engine::InputLine line,
     std::shared_ptr<const resilience::CancelToken> cancel, Done done) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(Job{std::move(command), std::move(tenant),
-                         std::move(cancel), std::move(done)});
+    queue_.push_back(
+        Job{&command, std::move(line), std::move(cancel), std::move(done)});
     queue_depth_->Set(static_cast<std::int64_t>(queue_.size()));
   }
   jobs_total_->Inc();
@@ -96,8 +111,7 @@ std::string OptimizeExecutor::RunJob(Job& job) {
   // (caught by the command handler into an error response), deadline
   // expiry returns false (a degraded partial result). A server drain
   // refuses outright: the job winds down to a partial within one batch.
-  const std::string tenant = job.tenant;
-  hooks.admit = [this, tenant, cancel = job.cancel](
+  hooks.admit = [this, tenant = job.line.tenant, cancel = job.cancel](
                     std::size_t batch_size,
                     const resilience::Deadline& deadline) {
     (void)batch_size;
@@ -110,15 +124,8 @@ std::string OptimizeExecutor::RunJob(Job& job) {
     }
     return true;
   };
-  const JsonValue* cmd =
-      job.command.is_object() ? job.command.Find("cmd") : nullptr;
-  const bool is_adapt =
-      cmd != nullptr && cmd->is_string() && cmd->AsString() == "adapt";
   JsonValue response =
-      is_adapt ? adapt::HandleAdaptCommand(job.command, backend,
-                                           &engine_.registry(), hooks)
-               : opt::HandleOptimizeCommand(job.command, backend,
-                                            &engine_.registry(), hooks);
+      job.command->handle(job.line.json, backend, &engine_.registry(), hooks);
   // A response rendered during a SIGTERM drain is a partial by decree,
   // whatever the run itself thinks: tag it so clients never mistake a
   // drained answer for a complete one.
@@ -130,7 +137,7 @@ std::string OptimizeExecutor::RunJob(Job& job) {
     }
   }
   if (const JsonValue* error = response.Find("error")) {
-    obs::LogWarn(is_adapt ? "adapt" : "optimize", "job_failed",
+    obs::LogWarn(job.command->name, "job_failed",
                  JsonValue::Object().Set("error", *error));
   }
   return response.ToString();

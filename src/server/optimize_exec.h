@@ -38,13 +38,35 @@
 #include <string>
 #include <thread>
 
+#include "adapt/adapt.h"
 #include "common/json.h"
 #include "engine/engine.h"
 #include "obs/metrics.h"
+#include "opt/optimizer.h"
 #include "resilience/cancel.h"
 #include "server/token_bucket.h"
 
 namespace sparsedet::server {
+
+// The long commands, in name order: the one list of them. The stdio serve
+// loop answers them inline, the TCP router hands them to OptimizeExecutor,
+// and both quote the list in the unknown-cmd error.
+struct LongCommand {
+  const char* name;
+  JsonValue (*handle)(const JsonValue& command, opt::SolveBackend& backend,
+                      obs::MetricsRegistry* registry,
+                      const opt::OptimizerHooks& hooks);
+};
+inline constexpr LongCommand kLongCommands[] = {
+    {"adapt", adapt::HandleAdaptCommand},
+    {"optimize", opt::HandleOptimizeCommand},
+};
+
+// The long command called `name`, or null.
+const LongCommand* FindLongCommand(const std::string& name);
+
+// The answer to a command line naming neither "stats" nor a long command.
+JsonValue UnknownCommandError();
 
 class OptimizeExecutor {
  public:
@@ -68,12 +90,13 @@ class OptimizeExecutor {
   void BeginDrain();
 
   using Done = std::function<void(std::string response)>;
-  // Enqueues one parsed {"cmd":"optimize"} or {"cmd":"adapt"} command.
-  // `cancel` (optional) aborts the run between inner-solve batches — pass
-  // the connection token so a disconnect stops paying for an answer nobody
-  // will read. `done` runs on the executor thread with the rendered
-  // response line (no trailing newline) and must not block.
-  void Submit(JsonValue command, std::string tenant,
+  // Enqueues one command line naming `command`; the line's tenant pays
+  // for its inner-solve batches. `cancel` (optional) aborts the run
+  // between inner-solve batches — pass the connection token so a
+  // disconnect stops paying for an answer nobody will read. `done` runs on
+  // the executor thread with the rendered response line (no trailing
+  // newline) and must not block.
+  void Submit(const LongCommand& command, engine::InputLine line,
               std::shared_ptr<const resilience::CancelToken> cancel,
               Done done);
 
@@ -82,8 +105,8 @@ class OptimizeExecutor {
 
  private:
   struct Job {
-    JsonValue command;
-    std::string tenant;
+    const LongCommand* command = nullptr;
+    engine::InputLine line;
     std::shared_ptr<const resilience::CancelToken> cancel;
     Done done;
   };

@@ -1,7 +1,6 @@
 #include "server/tcp_server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -32,15 +31,6 @@ std::int64_t NowNs() {
       .count();
 }
 
-bool IsBlank(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-void SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 }  // namespace
 
 struct TcpServer::Conn {
@@ -52,7 +42,7 @@ struct TcpServer::Conn {
   framing::LineDecoder decoder;
   std::shared_ptr<resilience::CancelToken> token;
   std::int64_t last_activity_ns = 0;
-  int line_number = 0;        // 1-based input line counter (engine ids)
+  int line_number = 0;        // 1-based, blank lines counted (engine ids)
   std::uint64_t next_seq = 0;  // next sequence number to assign
   bool want_write = false;     // EPOLLOUT registered
   bool read_open = true;       // false after EOF or drain
@@ -99,6 +89,10 @@ TcpServer::TcpServer(engine::BatchEngine& engine,
     queue_wait_us_->Record(span.queue_wait_ns / 1000);
     solve_us_->Record(span.solve_ns / 1000);
   });
+  // Long commands never reach the engine (ProcessLines hands them to the
+  // executor), so every other name it is asked about is unknown.
+  engine_.SetCommandHook(
+      [](const engine::InputLine&) { return UnknownCommandError(); });
 }
 
 TcpServer::~TcpServer() {
@@ -345,16 +339,14 @@ void TcpServer::Accept() {
       connections_rejected_->Inc();
       continue;
     }
-    auto conn = std::make_shared<Conn>(options_.max_line_bytes);
+    auto conn = std::make_shared<Conn>(engine_.options().max_line_bytes);
     conn->fd = fd;
     conn->id = next_conn_id_++;
     conn->last_activity_ns = NowNs();
-    if (options_.cancel_on_disconnect) {
-      // No deadline, and memo inserts stay allowed: a disconnect abandons
-      // the response, it does not invalidate completed sub-results.
-      conn->token = std::make_shared<resilience::CancelToken>(
-          resilience::Deadline(), nullptr, /*allow_memo_inserts=*/true);
-    }
+    // No deadline, and memo inserts stay allowed: a disconnect abandons
+    // the response, it does not invalidate completed sub-results.
+    conn->token = std::make_shared<resilience::CancelToken>(
+        resilience::Deadline(), nullptr, /*allow_memo_inserts=*/true);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
@@ -404,102 +396,54 @@ void TcpServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
 }
 
 void TcpServer::ProcessLines(const std::shared_ptr<Conn>& conn) {
-  std::string line;
+  using Kind = engine::InputLine::Kind;
+  std::string text;
   bool truncated = false;
-  while (conn->decoder.Next(&line, &truncated)) {
-    if (!truncated && IsBlank(line)) continue;
+  while (conn->decoder.Next(&text, &truncated)) {
+    engine::InputLine line =
+        engine::ReadInputLine(text, ++conn->line_number, truncated);
+    if (line.kind == Kind::kBlank) continue;
     const std::uint64_t seq = conn->next_seq++;
-    ++conn->line_number;
     requests_total_->Inc();
 
-    // {"cmd":"optimize"} / {"cmd":"adapt"} run for seconds-to-minutes and
-    // their inner solves complete on the engine's emitter thread, so they
-    // can run on neither of our threads — route them to the executor,
-    // holding the connection's sequence slot and the server's outstanding
-    // count exactly like an engine request so pipelining order and drain
-    // both account for them. Tenant quota applies per inner-solve batch
-    // inside the executor instead of once here. Same cheap substring guard
-    // the engine uses.
-    if (!truncated && optimize_exec_ != nullptr &&
-        line.find("\"cmd\"") != std::string::npos) {
-      bool routed = false;
-      try {
-        JsonValue json = ParseJson(line, /*max_depth=*/64);
-        const JsonValue* cmd =
-            json.is_object() ? json.Find("cmd") : nullptr;
-        if (cmd != nullptr && cmd->is_string() &&
-            (cmd->AsString() == "optimize" || cmd->AsString() == "adapt")) {
-          std::string tenant;
-          if (const JsonValue* t = json.Find("tenant");
-              t != nullptr && t->is_string()) {
-            tenant = t->AsString();
-          }
-          conn->pending.fetch_add(1, std::memory_order_acq_rel);
-          outstanding_.fetch_add(1, std::memory_order_acq_rel);
-          const std::shared_ptr<Conn> owner = conn;
-          optimize_exec_->Submit(
-              std::move(json), std::move(tenant), conn->token,
-              [this, owner, seq](std::string text) {
-                DeliverResponse(owner, seq, std::move(text));
-                owner->pending.fetch_sub(1, std::memory_order_acq_rel);
-                outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-                WakeLoop();
-              });
-          routed = true;
-        }
-      } catch (const Error&) {
-        // Not valid JSON: fall through, the engine renders the parse error.
-      }
-      if (routed) continue;
+    // Admission control: JSON-object requests pay their tenant's quota.
+    // Malformed lines skip it (the engine reports them), and so do command
+    // lines — an operator path, or a long command, which pays per
+    // inner-solve batch inside the executor instead.
+    if (line.kind == Kind::kRequest && line.json.is_object() &&
+        governor_.enabled() && !governor_.Admit(line.tenant, NowNs())) {
+      JsonValue response = JsonValue::Object();
+      response.Set("id", line.id)
+          .Set("error", "tenant quota exceeded")
+          .Set("error_code", "quota_exceeded");
+      if (!line.tenant.empty()) response.Set("tenant", line.tenant);
+      tenant_rejected_->Inc();
+      DeliverResponse(conn, seq, response.ToString());
+      continue;
     }
 
-    // Admission control wants the tenant, which needs a parse; malformed
-    // and command lines skip the quota (the engine reports the former, the
-    // latter is an operator path). The line is parsed again at plan time —
-    // acceptable: admission happens once per request, solves dominate.
-    if (!truncated && governor_.enabled()) {
-      bool rejected = false;
-      try {
-        const JsonValue json = ParseJson(line, /*max_depth=*/64);
-        if (json.is_object() && json.Find("cmd") == nullptr) {
-          std::string tenant;
-          if (const JsonValue* t = json.Find("tenant");
-              t != nullptr && t->is_string()) {
-            tenant = t->AsString();
-          }
-          if (!governor_.Admit(tenant, NowNs())) {
-            JsonValue response = JsonValue::Object();
-            if (const JsonValue* id = json.Find("id");
-                id != nullptr && (id->is_string() || id->is_number())) {
-              response.Set("id", *id);
-            } else {
-              response.Set("id", conn->line_number);
-            }
-            response.Set("error", "tenant quota exceeded")
-                .Set("error_code", "quota_exceeded");
-            if (!tenant.empty()) response.Set("tenant", tenant);
-            tenant_rejected_->Inc();
-            DeliverResponse(conn, seq, response.ToString());
-            rejected = true;
-          }
-        }
-      } catch (const Error&) {
-        // Not valid JSON: fall through, the engine renders the parse error.
-      }
-      if (rejected) continue;
-    }
-
+    // Both paths below hold the connection's sequence slot and the
+    // server's outstanding count, so pipelining order and drain account
+    // for every admitted line.
     conn->pending.fetch_add(1, std::memory_order_acq_rel);
     outstanding_.fetch_add(1, std::memory_order_acq_rel);
-    const std::shared_ptr<Conn> owner = conn;
-    engine_.SubmitLineAsync(
-        line, conn->line_number, conn->token, truncated,
-        [this, owner, seq](std::string text) {
-          DeliverResponse(owner, seq, std::move(text));
-          owner->pending.fetch_sub(1, std::memory_order_acq_rel);
-          outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-          WakeLoop();
-        });
+    auto deliver = [this, owner = conn, seq](std::string response) {
+      DeliverResponse(owner, seq, std::move(response));
+      owner->pending.fetch_sub(1, std::memory_order_acq_rel);
+      outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+      WakeLoop();
+    };
+    // Long commands run for seconds-to-minutes and their inner solves
+    // complete on the engine's emitter thread, so they can run on neither
+    // of our threads: the executor takes them.
+    const LongCommand* command =
+        line.kind == Kind::kCommand ? FindLongCommand(line.cmd) : nullptr;
+    if (command != nullptr) {
+      optimize_exec_->Submit(*command, std::move(line), conn->token,
+                             std::move(deliver));
+    } else {
+      engine_.SubmitAsync(std::move(line), conn->token, std::move(deliver));
+    }
   }
 }
 
@@ -657,10 +601,7 @@ JsonValue TcpServer::StatuszJson() const {
       .Set("tenant_qps", options_.tenant_qps)
       .Set("tenant_burst", options_.tenant_burst)
       .Set("idle_timeout_ms", options_.idle_timeout_ms)
-      .Set("max_line_bytes",
-           static_cast<std::int64_t>(options_.max_line_bytes))
-      .Set("memo_snapshot_path", options_.memo_snapshot_path)
-      .Set("cancel_on_disconnect", options_.cancel_on_disconnect);
+      .Set("memo_snapshot_path", options_.memo_snapshot_path);
 
   const prob::MemoCacheStats memo = prob::MemoCache::Global().Stats();
   JsonValue memo_json = JsonValue::Object();

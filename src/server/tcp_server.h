@@ -1,19 +1,22 @@
 // Network-native serve mode: a concurrent TCP front-end for BatchEngine.
 //
 // The server speaks exactly the stdio `serve` protocol — one JSONL request
-// per line, one JSONL response per line, {"cmd":"stats"} answered
+// per line, one JSONL response per line, command lines answered
 // in-stream — over any number of concurrent connections, each of which
 // may pipeline requests without waiting for responses. Responses on a
 // connection always come back in that connection's request order, byte-
-// identical to what the stdio loop would have produced for the same lines
-// (server-side admission rejections aside, which stdio has no analog for).
+// identical to what the stdio loop would have produced for the same lines,
+// command and blank lines included (server-side admission rejections
+// aside, which stdio has no analog for).
 //
 // Architecture: one epoll event-loop thread owns every socket. Inbound
-// bytes run through framing::LineDecoder (bounded, hostile-input safe);
-// each complete line is assigned a per-connection sequence number and
-// either rejected at admission (tenant quota — see token_bucket.h) or
-// planned into the engine via BatchEngine::SubmitLineAsync, whose
-// callback delivers the rendered response on the engine's emitter thread.
+// bytes run through framing::LineDecoder (bounded by the engine's
+// max_line_bytes, hostile-input safe); each complete line is read once by
+// engine::ReadInputLine, assigned a per-connection sequence number, and
+// either handed to OptimizeExecutor (a long command), rejected at
+// admission (tenant quota — see token_bucket.h), or submitted to the
+// engine via BatchEngine::SubmitAsync, whose callback delivers the
+// rendered response on the engine's emitter thread.
 // A per-connection reorder buffer merges engine responses with
 // server-side rejections in sequence order; the event loop is woken
 // through an eventfd and performs all socket writes (non-blocking,
@@ -53,13 +56,9 @@ struct TcpServerOptions {
   double tenant_qps = 0.0;    // per-tenant admission rate; 0 = unlimited
   double tenant_burst = 0.0;  // bucket capacity; 0 = max(1, tenant_qps)
   std::int64_t idle_timeout_ms = 0;  // close silent connections; 0 = off
-  // Per-line byte bound, mirroring EngineOptions::max_line_bytes so both
-  // transports reject the same inputs.
-  std::size_t max_line_bytes = 1 << 20;
   // Memo-cache snapshot file: loaded (if present) by Start(), written
   // atomically when Run() drains. Empty = disabled.
   std::string memo_snapshot_path;
-  bool cancel_on_disconnect = true;
 
   // Out-of-band admin plane (admin_http.h): /metrics, /healthz, /statusz,
   // /tracez on a dedicated thread, reachable while the data plane is
@@ -102,7 +101,7 @@ class TcpServer {
   void Accept();
   void HandleReadable(const std::shared_ptr<Conn>& conn);
   void HandleWritable(const std::shared_ptr<Conn>& conn);
-  // Feeds decoded lines into admission + the engine.
+  // Feeds decoded lines to the executor, admission and the engine.
   void ProcessLines(const std::shared_ptr<Conn>& conn);
   // Stashes a response for `seq` and appends every now-contiguous response
   // to the connection's outbound buffer. Called from the event loop (local

@@ -262,13 +262,13 @@ TEST(EngineInput, OversizedLineRejectedWithStructuredError) {
 TEST(EngineInput, DeeplyNestedJsonRejectedPerRequest) {
   EngineOptions options;
   options.threads = 1;
-  options.max_json_depth = 8;
   BatchEngine engine(options);
+  // 80 levels against the fixed input-line bound of 64 (kMaxLineJsonDepth).
   std::string deep = R"({"id":"deep","op":"analyze","params")";
   deep += ":";
-  for (int i = 0; i < 20; ++i) deep += R"({"nodes")" ":";
+  for (int i = 0; i < 80; ++i) deep += R"({"nodes")" ":";
   deep += "60";
-  for (int i = 0; i < 20; ++i) deep += "}";
+  for (int i = 0; i < 80; ++i) deep += "}";
   deep += "}";
   const std::vector<std::string> lines = Lines(
       RunBatch(engine, deep + "\n" + R"({"id":"ok","op":"analyze"})" + "\n"));

@@ -3,8 +3,9 @@
 // byte-at-a-time frames, slowloris), mid-request disconnect cancellation,
 // per-tenant admission control, the connection cap, in-stream stats, the
 // drain-time memo snapshot roundtrip, off-loop {"cmd":"optimize"} /
-// {"cmd":"adapt"} execution, and the drain-time degraded-tagging contract
-// for long commands.
+// {"cmd":"adapt"} execution, the drain-time degraded-tagging contract
+// for long commands, and byte-identity with stdio serve on command,
+// blank and malformed lines.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "adapt/adapt.h"
+#include "cli/commands.h"
 #include "common/json.h"
 #include "engine/engine.h"
 #include "opt/backend.h"
@@ -185,7 +188,9 @@ TEST(TcpServer, ConcurrentConnectionsEachGetTheirOwnStream) {
   TestServer server;
   const int conns = 8;
   std::vector<std::thread> threads;
-  std::vector<bool> ok(conns, false);
+  // char, not bool: the threads write neighbouring slots concurrently, and
+  // vector<bool> packs them into shared words.
+  std::vector<char> ok(conns, false);
   for (int c = 0; c < conns; ++c) {
     threads.emplace_back([c, port = server.port(), &ok] {
       Client client(port);
@@ -207,11 +212,10 @@ TEST(TcpServer, ConcurrentConnectionsEachGetTheirOwnStream) {
 }
 
 TEST(TcpServer, OversizedLineRejectedAndConnectionSurvives) {
-  TcpServerOptions options;
-  options.max_line_bytes = 256;
+  // The engine's bound frames the socket too.
   engine::EngineOptions engine_options;
   engine_options.max_line_bytes = 256;
-  TestServer server(options, engine_options);
+  TestServer server({}, engine_options);
   Client client(server.port());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.SendLine(std::string(5000, 'x')));
@@ -222,6 +226,52 @@ TEST(TcpServer, OversizedLineRejectedAndConnectionSurvives) {
   ASSERT_TRUE(client.ReadLine(&response));
   EXPECT_EQ(IdOf(response), 1);
   EXPECT_NE(response.find("\"result\""), std::string::npos);
+}
+
+TEST(TcpServer, CommandBlankAndMalformedLinesMatchStdioServe) {
+  // No {"cmd":"stats"}: its metrics legitimately differ between transports.
+  std::string deep = R"({"id":"deep","op":"analyze","params":)";
+  for (int i = 0; i < 80; ++i) deep += R"({"nodes":)";
+  deep += "60" + std::string(81, '}');  // 80 levels against the bound of 64
+  const std::vector<std::string> lines = {
+      R"({"cmd":"nope"})",
+      R"({"cmd":7})",
+      R"({"cmd":"stats")",
+      R"({"cmd":"optimize"})",
+      R"({"cmd":"adapt","bogus":1})",
+      "",
+      R"({"op":"analyze"})",
+      R"({"id":"cmd","op":"analyze"})",
+      deep,
+  };
+  std::string input;
+  for (const std::string& line : lines) input += line + "\n";
+  std::istringstream in(input);
+  std::ostringstream stdio;
+  std::ostringstream err;
+  ASSERT_EQ(cli::CmdServe({"--threads", "2"}, in, stdio, err), 0)
+      << err.str();
+  EXPECT_NE(stdio.str().find(
+                R"(unknown cmd; expected \"stats\", \"adapt\", \"optimize\")"),
+            std::string::npos)
+      << stdio.str();
+  // The id-less request after the blank line is line 7, blanks counted.
+  EXPECT_NE(stdio.str().find(R"({"id":7,"op":"analyze")"), std::string::npos)
+      << stdio.str();
+  EXPECT_NE(stdio.str().find("nesting too deep"), std::string::npos)
+      << stdio.str();
+
+  TestServer server;
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send(input));
+  std::string tcp;
+  std::string response;
+  for (std::size_t i = 1; i < lines.size(); ++i) {  // the blank line: none
+    ASSERT_TRUE(client.ReadLine(&response)) << "response " << i;
+    tcp += response + "\n";
+  }
+  EXPECT_EQ(tcp, stdio.str());
 }
 
 TEST(TcpServer, ByteAtATimeFramesAreReassembled) {
