@@ -1,18 +1,24 @@
 // Micro performance suite (google-benchmark): regression guard for the
 // hot paths — geometry decomposition, stage pmf construction, the full
 // M-S analysis, the memo-cache hit/key paths, ParallelFor dispatch, one
-// Monte-Carlo trial, gating and track fitting. Not a paper experiment;
+// Monte-Carlo trial, gating and track fitting, JSON number formatting,
+// response rendering and the result-cache key. Not a paper experiment;
 // keeps the library honest as it evolves.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <string>
+#include <vector>
 
+#include "common/json.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/analysis.h"
 #include "core/ms_approach.h"
 #include "core/region_pmf.h"
 #include "detect/track_estimate.h"
 #include "detect/track_gate.h"
+#include "engine/request.h"
 #include "geometry/region_decomposition.h"
 #include "prob/memo_cache.h"
 #include "prob/pmf.h"
@@ -180,6 +186,44 @@ void BM_TrackFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrackFit);
+
+// One served number: AppendJsonNumber over a fixed seeded array of
+// probabilities (mostly 16-17 significant digits, like solver output).
+void BM_JsonWriteNumber(benchmark::State& state) {
+  std::vector<double> probabilities(1024);
+  Rng rng(15);
+  for (double& p : probabilities) p = rng.UniformDouble();
+  std::string out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    AppendJsonNumber(out, probabilities[i++ % probabilities.size()]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_JsonWriteNumber);
+
+// The text of one analyze answer, as a result-cache hit renders it.
+void BM_RenderAnalyzeResponse(benchmark::State& state) {
+  const SystemParams p = Onr(240, 10.0);
+  const JsonValue response = engine::AnalyzeToJson(p, AnalyzeScenario(p));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(response.ToString());
+  }
+}
+BENCHMARK(BM_RenderAnalyzeResponse);
+
+// The result-cache key of one analyze unit.
+void BM_CanonicalKey(benchmark::State& state) {
+  const engine::WorkUnit unit = engine::ExpandRequest(engine::ParseRequest(
+      ParseJson(R"({"op":"analyze","params":{"nodes":180,"speed":7.5}})"),
+      1))[0];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine::CanonicalKey(unit));
+  }
+}
+BENCHMARK(BM_CanonicalKey);
 
 }  // namespace
 

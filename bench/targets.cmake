@@ -38,7 +38,8 @@ target_link_libraries(bench_coverage_breach PRIVATE sparsedet_coverage)
 sparsedet_bench(bench_timing_s_vs_ms)
 target_link_libraries(bench_timing_s_vs_ms PRIVATE benchmark::benchmark)
 sparsedet_bench(bench_micro_perf)
-target_link_libraries(bench_micro_perf PRIVATE benchmark::benchmark)
+target_link_libraries(bench_micro_perf PRIVATE benchmark::benchmark
+                                               sparsedet_engine)
 
 sparsedet_bench(bench_engine_batch)
 target_link_libraries(bench_engine_batch PRIVATE sparsedet_engine)

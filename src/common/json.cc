@@ -1,7 +1,7 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -90,103 +90,114 @@ JsonValue& JsonValue::Set(const std::string& key, JsonValue v) {
 
 namespace {
 
-void WriteEscaped(std::ostream& os, const std::string& s) {
-  os << '"';
+void AppendEscaped(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
   for (char raw : s) {
     const unsigned char ch = static_cast<unsigned char>(raw);
     switch (ch) {
       case '"':
-        os << "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        os << "\\\\";
+        out += "\\\\";
         break;
       case '\n':
-        os << "\\n";
+        out += "\\n";
         break;
       case '\t':
-        os << "\\t";
+        out += "\\t";
         break;
       case '\r':
-        os << "\\r";
+        out += "\\r";
         break;
       default:
         if (ch < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
+          out += "\\u00";
+          out += kHex[ch >> 4];
+          out += kHex[ch & 0xF];
         } else {
-          os << raw;
+          out += raw;
         }
     }
   }
-  os << '"';
-}
-
-void WriteNumber(std::ostream& os, double d) {
-  if (!std::isfinite(d)) {
-    os << "null";
-    return;
-  }
-  // Exactly representable integers print as integers.
-  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", d);
-    os << buf;
-    return;
-  }
-  // Shortest representation that round-trips a double.
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  double parsed = 0.0;
-  std::sscanf(buf, "%lf", &parsed);
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, d);
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == d) {
-      os << candidate;
-      return;
-    }
-  }
-  os << buf;
+  out += '"';
 }
 
 }  // namespace
 
-void JsonValue::Serialize(std::ostream& os) const {
-  if (std::holds_alternative<std::nullptr_t>(value_)) {
-    os << "null";
-  } else if (const bool* b = std::get_if<bool>(&value_)) {
-    os << (*b ? "true" : "false");
-  } else if (const double* d = std::get_if<double>(&value_)) {
-    WriteNumber(os, *d);
-  } else if (const std::string* s = std::get_if<std::string>(&value_)) {
-    WriteEscaped(os, *s);
-  } else if (const ArrayType* arr = std::get_if<ArrayType>(&value_)) {
-    os << '[';
-    for (std::size_t i = 0; i < arr->size(); ++i) {
-      if (i != 0) os << ',';
-      (*arr)[i].Serialize(os);
+void AppendJsonNumber(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    out += "null";
+    return;
+  }
+  // Large enough for every form below: at most 17 significant digits, a
+  // sign, a point and "e-308", or "0.000" plus 17 digits.
+  char buf[32];
+  char* const end = buf + sizeof(buf);
+  // Exactly representable integers print as integers ("%.0f": -0.0 stays
+  // "-0").
+  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
+    out.append(buf,
+               std::to_chars(buf, end, d, std::chars_format::fixed, 0).ptr);
+    return;
+  }
+  // printf's "%.Pg" for the smallest P that parses back to d. No P below
+  // the digit count D of the shortest round-trip form can, so the search
+  // starts at D. P = D itself can fail where the shortest form is not the
+  // correctly rounded D-digit value (2^-1017: shortest ...045e-307,
+  // "%.16g" ...044e-307), hence the parse-back of every candidate.
+  const char* const sci_end =
+      std::to_chars(buf, end, d, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* p = buf; p != sci_end && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
+  }
+  for (int precision = digits;; ++precision) {
+    char* const last =
+        std::to_chars(buf, end, d, std::chars_format::general, precision).ptr;
+    double parsed = 0.0;
+    std::from_chars(buf, last, parsed);
+    if (parsed == d || precision >= 17) {
+      out.append(buf, last);
+      return;
     }
-    os << ']';
+  }
+}
+
+void JsonValue::AppendTo(std::string& out) const {
+  if (std::holds_alternative<std::nullptr_t>(value_)) {
+    out += "null";
+  } else if (const bool* b = std::get_if<bool>(&value_)) {
+    out += *b ? "true" : "false";
+  } else if (const double* d = std::get_if<double>(&value_)) {
+    AppendJsonNumber(out, *d);
+  } else if (const std::string* s = std::get_if<std::string>(&value_)) {
+    AppendEscaped(out, *s);
+  } else if (const ArrayType* arr = std::get_if<ArrayType>(&value_)) {
+    out += '[';
+    for (std::size_t i = 0; i < arr->size(); ++i) {
+      if (i != 0) out += ',';
+      (*arr)[i].AppendTo(out);
+    }
+    out += ']';
   } else {
     const ObjectType& obj = std::get<ObjectType>(value_);
-    os << '{';
+    out += '{';
     for (std::size_t i = 0; i < obj.size(); ++i) {
-      if (i != 0) os << ',';
-      WriteEscaped(os, obj[i].first);
-      os << ':';
-      obj[i].second.Serialize(os);
+      if (i != 0) out += ',';
+      AppendEscaped(out, obj[i].first);
+      out += ':';
+      obj[i].second.AppendTo(out);
     }
-    os << '}';
+    out += '}';
   }
 }
 
 std::string JsonValue::ToString() const {
-  std::ostringstream os;
-  Serialize(os);
-  return os.str();
+  std::string out;
+  AppendTo(out);
+  return out;
 }
 
 // ---------------------------------------------------------------------------

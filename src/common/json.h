@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,16 +62,23 @@ class JsonValue {
   // Object insert-or-overwrite; requires is_object().
   JsonValue& Set(const std::string& key, JsonValue v);
 
-  // Compact single-line serialization. Numbers use shortest round-trip
-  // formatting; non-finite numbers serialize as null (JSON has no NaN).
-  void Serialize(std::ostream& os) const;
+  // Compact single-line serialization. Numbers are written by
+  // AppendJsonNumber.
   std::string ToString() const;
 
  private:
+  void AppendTo(std::string& out) const;
+
   std::variant<std::nullptr_t, bool, double, std::string, ArrayType,
                ObjectType>
       value_;
 };
+
+// Appends the JSON text of `d`: integral values with |d| < 2^53 as "%.0f",
+// other finite values in printf's "%.Pg" layout with the fewest digits P
+// that parse back to `d`, and non-finite values as null (JSON has no NaN).
+// The one number formatter: response text and result-cache keys use it.
+void AppendJsonNumber(std::string& out, double d);
 
 // Raised by ParseJson. `line` and `column` are 1-based positions into the
 // parsed text; what() already embeds them.

@@ -6,6 +6,7 @@
 #include <numbers>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 
 #include "common/check.h"
 #include "core/analysis.h"
@@ -83,21 +84,35 @@ FaSpec ParseFa(const JsonValue& obj) {
   return f;
 }
 
-// Shortest-round-trip number formatting, shared with the serializer so the
-// cache key for nodes=10 and nodes=10.0 is identical.
-std::string Num(double d) { return JsonValue(d).ToString(); }
-
-void AppendScenarioKey(std::ostream& os, const SystemParams& p) {
-  os << "|W=" << Num(p.field_width) << "|H=" << Num(p.field_height)
-     << "|N=" << p.num_nodes << "|Rs=" << Num(p.sensing_range)
-     << "|Rc=" << Num(p.comm_range) << "|Pd=" << Num(p.detect_prob)
-     << "|t=" << Num(p.period_length) << "|V=" << Num(p.target_speed)
-     << "|M=" << p.window_periods << "|k=" << p.threshold_reports;
+// Appends each part's key text: doubles through the response serializer's
+// number formatter (so nodes=10 and nodes=10.0 share a key), integers in
+// decimal, strings verbatim.
+template <typename... Parts>
+void AppendKey(std::string& key, const Parts&... parts) {
+  const auto append = [&key](const auto& part) {
+    using Part = std::decay_t<decltype(part)>;
+    if constexpr (std::is_floating_point_v<Part>) {
+      AppendJsonNumber(key, part);
+    } else if constexpr (std::is_integral_v<Part>) {
+      key += std::to_string(part);
+    } else {
+      key += part;
+    }
+  };
+  (append(parts), ...);
 }
 
-void AppendOptionsKey(std::ostream& os, const MsApproachOptions& o) {
-  os << "|gh=" << o.gh << "|g=" << o.g << "|norm=" << (o.normalize ? 1 : 0)
-     << "|rel=" << Num(o.node_reliability);
+void AppendScenarioKey(std::string& key, const SystemParams& p) {
+  AppendKey(key, "|W=", p.field_width, "|H=", p.field_height,
+            "|N=", p.num_nodes, "|Rs=", p.sensing_range,
+            "|Rc=", p.comm_range, "|Pd=", p.detect_prob,
+            "|t=", p.period_length, "|V=", p.target_speed,
+            "|M=", p.window_periods, "|k=", p.threshold_reports);
+}
+
+void AppendOptionsKey(std::string& key, const MsApproachOptions& o) {
+  AppendKey(key, "|gh=", o.gh, "|g=", o.g, "|norm=", o.normalize ? 1 : 0,
+            "|rel=", o.node_reliability);
 }
 
 }  // namespace
@@ -425,42 +440,42 @@ std::vector<WorkUnit> ExpandRequest(const Request& request) {
 }
 
 std::string CanonicalKey(const WorkUnit& unit) {
-  std::ostringstream os;
+  std::string key;
   switch (unit.op) {
     case RequestOp::kAnalyze:
-      os << "analyze";
-      AppendScenarioKey(os, unit.params);
-      AppendOptionsKey(os, unit.options);
+      key = "analyze";
+      AppendScenarioKey(key, unit.params);
+      AppendOptionsKey(key, unit.options);
       break;
     case RequestOp::kSweep:  // one sweep point
-      os << "point";
-      AppendScenarioKey(os, unit.params);
-      AppendOptionsKey(os, unit.options);
+      key = "point";
+      AppendScenarioKey(key, unit.params);
+      AppendOptionsKey(key, unit.options);
       break;
     case RequestOp::kLatency:
-      os << "latency";
-      AppendScenarioKey(os, unit.params);
-      AppendOptionsKey(os, unit.options);
+      key = "latency";
+      AppendScenarioKey(key, unit.params);
+      AppendOptionsKey(key, unit.options);
       break;
     case RequestOp::kFa:
-      os << "fa";
-      AppendScenarioKey(os, unit.params);
-      os << "|pf=" << Num(unit.fa.false_alarm_prob)
-         << "|maxk=" << unit.fa.max_k;
+      key = "fa";
+      AppendScenarioKey(key, unit.params);
+      AppendKey(key, "|pf=", unit.fa.false_alarm_prob,
+                "|maxk=", unit.fa.max_k);
       break;
     case RequestOp::kSimulate:
-      os << "sim";
-      AppendScenarioKey(os, unit.params);
-      os << "|trials=" << unit.sim.trials << "|seed=" << unit.sim.seed
-         << "|pf=" << Num(unit.sim.false_alarm_prob)
-         << "|srel=" << Num(unit.sim.node_reliability)
-         << "|h=" << unit.sim.distinct_nodes << "|motion=" << unit.sim.motion
-         << "|geom=" << unit.sim.geometry
-         << "|death=" << Num(unit.sim.node_death_prob)
-         << "|loss=" << Num(unit.sim.report_loss_prob);
+      key = "sim";
+      AppendScenarioKey(key, unit.params);
+      AppendKey(key, "|trials=", unit.sim.trials, "|seed=", unit.sim.seed,
+                "|pf=", unit.sim.false_alarm_prob,
+                "|srel=", unit.sim.node_reliability,
+                "|h=", unit.sim.distinct_nodes, "|motion=", unit.sim.motion,
+                "|geom=", unit.sim.geometry,
+                "|death=", unit.sim.node_death_prob,
+                "|loss=", unit.sim.report_loss_prob);
       break;
   }
-  return os.str();
+  return key;
 }
 
 JsonValue EvaluateUnit(const WorkUnit& unit) {

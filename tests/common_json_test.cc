@@ -1,6 +1,15 @@
 #include "common/json.h"
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -250,6 +259,123 @@ TEST(JsonParse, MalformedInputSweepNeverCrashes) {
       mutated[pos] = m;
       check(mutated);
     }
+  }
+}
+
+// ---- Number writer: byte-identical to the printf writer it replaced ------
+
+// The writer AppendJsonNumber replaced, kept as the oracle: "%.0f" for
+// integers below 2^53, else "%.Pg" for the first P in 1..16 that sscanf
+// parses back to d, else "%.17g".
+std::string OracleNumber(double d) {
+  if (!std::isfinite(d)) return "null";
+  char buf[32];
+  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", d);
+    return buf;
+  }
+  for (int precision = 1; precision < 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    double parsed = 0.0;
+    std::sscanf(buf, "%lf", &parsed);
+    if (parsed == d) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
+}
+
+std::string WrittenNumber(double d) {
+  std::string out;
+  AppendJsonNumber(out, d);
+  return out;
+}
+
+// Compares every value's bytes with the oracle's, and parses each finite
+// value's text back.
+void ExpectMatchesOracle(const std::vector<double>& values) {
+  int mismatches = 0;
+  for (double d : values) {
+    const std::string written = WrittenNumber(d);
+    const std::string oracle = OracleNumber(d);
+    const bool round_trips =
+        !std::isfinite(d) || ParseJson(written).AsDouble() == d;
+    if ((written != oracle || !round_trips) && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << d << ": wrote " << written
+                    << ", oracle " << oracle;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << values.size() << " values";
+}
+
+TEST(JsonNumber, MatchesOracleOnRandomBitPatterns) {
+  std::mt19937_64 rng(20080617);
+  std::vector<double> values(200000);
+  for (double& d : values) {
+    const std::uint64_t bits = rng();
+    std::memcpy(&d, &bits, sizeof(d));
+  }
+  ExpectMatchesOracle(values);
+}
+
+TEST(JsonNumber, MatchesOracleOnProbabilities) {
+  std::mt19937_64 rng(240);
+  std::vector<double> values(200000);
+  for (double& d : values) d = static_cast<double>(rng() >> 11) * 0x1p-53;
+  ExpectMatchesOracle(values);
+}
+
+TEST(JsonNumber, MatchesOracleOnPowersOfTwoAndTheirNeighbours) {
+  std::vector<double> values;
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (double d : {std::nextafter(p, 0.0), p, std::nextafter(p, HUGE_VAL)}) {
+      values.push_back(d);
+      values.push_back(-d);
+    }
+  }
+  ExpectMatchesOracle(values);
+}
+
+TEST(JsonNumber, MatchesOracleOnShortDecimals) {
+  // m x 10^e with at most 5 significant digits, each the double nearest its
+  // decimal. The grid crosses %g's switch to an exponent and the integer
+  // path; the draws cover the whole exponent range.
+  std::vector<double> values;
+  const auto add = [&values](int m, int e) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%de%d", m, e);
+    values.push_back(std::strtod(text, nullptr));
+  };
+  for (int m = 1; m <= 99999; m += 13) {
+    for (int e = -10; e <= 6; ++e) add(m, e);
+  }
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    add(1 + static_cast<int>(rng() % 99999),
+        -323 + static_cast<int>(rng() % 627));
+  }
+  ExpectMatchesOracle(values);
+}
+
+TEST(JsonNumber, NamedCases) {
+  const std::pair<double, const char*> cases[] = {
+      {-0.0, "-0"},
+      {5e-324, "5e-324"},
+      {DBL_MAX, "1.7976931348623157e+308"},
+      {1e16, "1e+16"},
+      {9007199254740991.0, "9007199254740991"},  // 2^53 - 1: integer path
+      {9007199254740992.0, "9007199254740992"},  // 2^53: general path
+      // Shortest form 7.120236347223045e-307; "%.16g" does not parse back.
+      {std::ldexp(1.0, -1017), "7.1202363472230444e-307"},
+      {1e-05, "1e-05"},  // %g switches to an exponent below 1e-4
+      {0.0001, "0.0001"},
+  };
+  for (const auto& [d, text] : cases) {
+    EXPECT_EQ(WrittenNumber(d), text);
+    EXPECT_EQ(OracleNumber(d), text);
+    const double parsed = ParseJson(text).AsDouble();
+    EXPECT_EQ(parsed, d) << text;
+    EXPECT_EQ(std::signbit(parsed), std::signbit(d)) << text;
   }
 }
 

@@ -169,6 +169,46 @@ TEST(Request, CanonicalKeyNormalizesNumberFormatting) {
             CanonicalKey(ExpandRequest(c)[0]));
 }
 
+// Result-cache keys, recorded before the key builder moved from ostream to
+// string appends. A key change alters no response byte, only which units
+// share a cache entry, so no golden suite would notice it.
+TEST(Request, CanonicalKeysArePinned) {
+  const auto key = [](const std::string& line, std::size_t unit) {
+    const std::vector<WorkUnit> units = ExpandRequest(ParseLine(line));
+    return unit < units.size() ? CanonicalKey(units[unit]) : "<no unit>";
+  };
+  // The docs/ENGINE.md example.
+  EXPECT_EQ(key(R"({"op":"analyze","params":{"nodes":240}})", 0),
+            "analyze|W=32000|H=32000|N=240|Rs=1000|Rc=6000|Pd=0.9|t=60|V=10|"
+            "M=20|k=5|gh=3|g=3|norm=1|rel=1");
+  EXPECT_EQ(key(R"({"op":"sweep","params":{"speed":4.5,"rs":812.5},
+                    "sweep":{"param":"pd","from":0.55,"to":0.7,"step":0.05}})",
+                1),
+            "point|W=32000|H=32000|N=60|Rs=812.5|Rc=6000|Pd=0.6000000000000001|"
+            "t=60|V=4.5|M=20|k=5|gh=3|g=3|norm=1|rel=1");
+  EXPECT_EQ(key(R"({"op":"latency",
+                    "params":{"nodes":120,"field_width":20000.5,"period":45.25,
+                              "window":12,"k":3},
+                    "options":{"gh":4,"g":5,"normalize":false,
+                               "reliability":0.95}})",
+                0),
+            "latency|W=20000.5|H=32000|N=120|Rs=1000|Rc=6000|Pd=0.9|t=45.25|"
+            "V=10|M=12|k=3|gh=4|g=5|norm=0|rel=0.95");
+  EXPECT_EQ(key(R"({"op":"fa","params":{"pd":0.875},
+                    "fa":{"pf":0.0001,"max_k":6}})",
+                0),
+            "fa|W=32000|H=32000|N=60|Rs=1000|Rc=6000|Pd=0.875|t=60|V=10|M=20|"
+            "k=5|pf=0.0001|maxk=6");
+  EXPECT_EQ(key(R"({"op":"simulate","params":{"nodes":90,"speed":7.25,"rc":1e4},
+                    "sim":{"trials":500,"seed":9007199254740991,"pf":1e-05,
+                           "reliability":0.9,"h":2,"motion":"random-walk",
+                           "geometry":"planar","death":0.01,"loss":0.125}})",
+                0),
+            "sim|W=32000|H=32000|N=90|Rs=1000|Rc=10000|Pd=0.9|t=60|V=7.25|"
+            "M=20|k=5|trials=500|seed=9007199254740991|pf=1e-05|srel=0.9|h=2|"
+            "motion=random-walk|geom=planar|death=0.01|loss=0.125");
+}
+
 TEST(Request, SweepExpandsToOneUnitPerPoint) {
   const Request r = ParseLine(
       R"({"op": "sweep",
