@@ -5,7 +5,7 @@
 // shares the same stage pmfs and propagated distribution, and nearby
 // requests share Region(i) sub-pmfs. Configs cover no-cache baseline,
 // cold and warm memo cache, solver-thread scaling, and worker-pool
-// scaling under cross-request group dispatch. The determinism contract
+// scaling under per-request group dispatch. The determinism contract
 // means every configuration must produce byte-identical result streams —
 // verified here on real workloads, not just in unit tests.
 //
@@ -65,7 +65,6 @@ struct ConfigSpec {
   std::size_t solver_threads;
   std::size_t memo_entries;
   bool clear_memo;  // start every repeat from a cold memo cache
-  bool group_dispatch = true;
 };
 
 struct RunResult {
@@ -85,7 +84,6 @@ RunResult RunConfigOnce(const std::string& workload, const ConfigSpec& spec) {
   options.cache_capacity = 0;  // no result cache: every request solves
   options.solver_threads = spec.solver_threads;
   options.memo_cache_entries = spec.memo_entries;
-  options.group_dispatch = spec.group_dispatch;
   engine::BatchEngine batch_engine(options);
 
   RunResult result;
@@ -188,7 +186,6 @@ int main(int argc, char** argv) {
   const std::vector<ConfigSpec> configs = {
       {"1 thread, memo off", 1, 1, 0, true},
       {"hw threads, memo off", 0, 1, 0, true},
-      {"hw threads, memo off, group off", 0, 1, 0, true, false},
       {"1 thread, memo cold", 1, 1, 4096, true},
       {"1 thread, memo warm", 1, 1, 4096, false},
       {"hw threads, memo warm", 0, 1, 4096, false},

@@ -90,7 +90,7 @@ void BM_MemoKeyBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_MemoKeyBuild);
 
-// Dispatch + join cost of the work-stealing loop on a trivial body, per
+// Dispatch + join cost of ParallelFor on a trivial body, per
 // worker count; the floor any parallelized hot path must amortize.
 void BM_ParallelForDispatch(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));

@@ -69,12 +69,6 @@ SystemParams ParseScenario(FlagParser& flags) {
   return p;
 }
 
-// The flags ParseScenario and ParseMsOptions read.
-constexpr const char* kScenarioFlags[] = {
-    "field-width", "field-height", "nodes",     "rs", "rc", "pd",
-    "period",      "speed",        "window",    "k",  "gh", "g",
-    "normalize",   "reliability"};
-
 MsApproachOptions ParseMsOptions(FlagParser& flags) {
   MsApproachOptions opt;
   opt.gh = flags.GetInt("gh", opt.gh, "Head-stage sensor cap");
@@ -185,8 +179,9 @@ opt::AxisSpec ParseAxisFlag(FlagParser& flags, const std::string& name,
 }
 
 // The flags every spec-driven command (optimize, adapt) ends with; reading
-// them finishes the parse.
+// them finishes the parse. Every flag declared before them builds the spec.
 struct SpecRunFlags {
+  std::vector<std::string> spec_flags;  // provided spec-building flags
   std::string spec_path;
   int deadline_ms = 0;
   std::string memo_snapshot;
@@ -195,6 +190,7 @@ struct SpecRunFlags {
 
 SpecRunFlags ParseSpecRunFlags(FlagParser& flags, const std::string& command) {
   SpecRunFlags run;
+  run.spec_flags = flags.ProvidedSoFar();
   run.spec_path = flags.GetString(
       "spec", "", command + " spec JSON file (replaces spec-building flags)");
   run.deadline_ms = flags.GetInt(
@@ -209,9 +205,9 @@ SpecRunFlags ParseSpecRunFlags(FlagParser& flags, const std::string& command) {
 }
 
 // The runner behind optimize and adapt. The spec comes from --spec, which
-// conflicts with the scenario flags and every flag in `spec_flags` (only
-// --deadline-ms may override it), or from the flags, re-parsed through
-// the canonical JSON so both paths get exactly the file-spec validation.
+// conflicts with every spec-building flag (only --deadline-ms may override
+// it), or from the flags, re-parsed through the canonical JSON so both
+// paths get exactly the file-spec validation.
 // `solve` runs on a private engine behind a SyncEngineBackend, with the
 // memo snapshot (if any) loaded before and saved after, and the result is
 // printed rows-then-summary. Degraded (deadline) partials exit 0 — the
@@ -220,7 +216,6 @@ SpecRunFlags ParseSpecRunFlags(FlagParser& flags, const std::string& command) {
 template <typename Spec>
 int RunSpecCommand(
     const FlagParser& flags, const SpecRunFlags& run, Spec spec,
-    std::initializer_list<const char*> spec_flags,
     Spec (*parse)(const JsonValue&), JsonValue (*to_json)(const Spec&),
     const std::function<JsonValue(const Spec&, opt::SolveBackend&,
                                   obs::MetricsRegistry*)>& solve,
@@ -229,14 +224,10 @@ int RunSpecCommand(
   spec.deadline_ms = run.deadline_ms;
   Spec parsed;
   if (!run.spec_path.empty()) {
-    const auto reject = [&](const char* name) {
-      SPARSEDET_REQUIRE(!flags.Provided(name),
-                        std::string("--") + name +
-                            " conflicts with --spec (the file is the whole "
-                            "spec)");
-    };
-    for (const char* name : kScenarioFlags) reject(name);
-    for (const char* name : spec_flags) reject(name);
+    SPARSEDET_REQUIRE(run.spec_flags.empty(),
+                      "--" + run.spec_flags.front() +
+                          " conflicts with --spec (the file is the whole "
+                          "spec)");
     std::ifstream file(run.spec_path);
     SPARSEDET_REQUIRE(file.good(), "cannot open --spec " + run.spec_path);
     std::ostringstream text;
@@ -703,12 +694,7 @@ int CmdOptimize(const std::vector<std::string>& args, std::ostream& out,
       throw InvalidArgument("--mode must be optimize or frontier");
     }
     return RunSpecCommand<opt::OptimizeSpec>(
-        flags, run, spec,
-        {"objective", "mode", "min-detection", "pf", "max-fa",
-         "min-lifetime-days", "search-nodes", "search-k", "search-window",
-         "search-period", "search-duty", "battery", "sense-cost", "idle-cost",
-         "tx-cost", "rx-cost", "hops", "refine-rounds"},
-        opt::ParseOptimizeSpec, opt::SpecToJson,
+        flags, run, spec, opt::ParseOptimizeSpec, opt::SpecToJson,
         [](const opt::OptimizeSpec& parsed, opt::SolveBackend& backend,
            obs::MetricsRegistry* registry) {
           return opt::Optimizer(parsed, backend, registry).Run();
@@ -811,12 +797,7 @@ int CmdAdapt(const std::vector<std::string>& args, std::ostream& out,
                       "--seed must be a non-negative integer");
     spec.sim_seed = static_cast<std::uint64_t>(seed);
     return RunSpecCommand<adapt::AdaptSpec>(
-        flags, run, spec,
-        {"mode", "failure-model", "mean-lifetime-s", "shape", "report-loss",
-         "horizon-epochs", "epoch-periods", "min-detection", "pf", "max-fa",
-         "search-k", "search-window", "margin", "min-dwell", "estimator",
-         "estimator-windows", "estimator-z", "seed", "trials"},
-        adapt::ParseAdaptSpec, adapt::SpecToJson,
+        flags, run, spec, adapt::ParseAdaptSpec, adapt::SpecToJson,
         [](const adapt::AdaptSpec& parsed, opt::SolveBackend& backend,
            obs::MetricsRegistry* registry) {
           return adapt::AdaptRun(parsed, backend, registry);

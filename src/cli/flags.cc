@@ -92,6 +92,14 @@ bool FlagParser::Provided(const std::string& name) const {
   return values_.count(name) > 0;
 }
 
+std::vector<std::string> FlagParser::ProvidedSoFar() const {
+  std::vector<std::string> names;
+  for (const Declared& d : declared_) {
+    if (Provided(d.name)) names.push_back(d.name);
+  }
+  return names;
+}
+
 std::string FlagParser::Usage() const {
   std::ostringstream os;
   for (const Declared& d : declared_) {

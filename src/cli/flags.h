@@ -56,6 +56,9 @@ class FlagParser {
   // True if the flag was provided on the command line.
   bool Provided(const std::string& name) const;
 
+  // The provided flags among those declared so far, in declaration order.
+  std::vector<std::string> ProvidedSoFar() const;
+
  private:
   std::string Raw(const std::string& name, const std::string& default_value,
                   const std::string& help, const std::string& type);

@@ -1,54 +1,48 @@
 // Precondition / invariant checking macros.
 //
 // SPARSEDET_REQUIRE(cond, msg)  — public-API precondition; throws
-//                                 InvalidArgument with file:line context.
+//                                 InvalidArgument.
 // SPARSEDET_CHECK(cond, msg)    — always-on internal invariant; throws
 //                                 InternalError.
 // SPARSEDET_DCHECK(cond, msg)   — debug-only internal invariant; compiles
 //                                 out in NDEBUG builds.
+//
+// Messages read "<kind> failed: (cond) msg". They carry no source file or
+// line: the text reaches clients in error responses, and it must neither
+// expose the build's paths nor change with unrelated edits.
 #pragma once
 
-#include <sstream>
 #include <string>
 
 #include "common/error.h"
 
 namespace sparsedet::internal {
 
-[[noreturn]] inline void ThrowInvalidArgument(const char* file, int line,
-                                              const char* cond,
+[[noreturn]] inline void ThrowInvalidArgument(const char* cond,
                                               const std::string& msg) {
-  std::ostringstream os;
-  os << "precondition failed at " << file << ':' << line << ": (" << cond
-     << ") " << msg;
-  throw InvalidArgument(os.str());
+  throw InvalidArgument("precondition failed: (" + std::string(cond) + ") " +
+                        msg);
 }
 
-[[noreturn]] inline void ThrowInternal(const char* file, int line,
-                                       const char* cond,
+[[noreturn]] inline void ThrowInternal(const char* cond,
                                        const std::string& msg) {
-  std::ostringstream os;
-  os << "invariant failed at " << file << ':' << line << ": (" << cond << ") "
-     << msg;
-  throw InternalError(os.str());
+  throw InternalError("invariant failed: (" + std::string(cond) + ") " + msg);
 }
 
 }  // namespace sparsedet::internal
 
-#define SPARSEDET_REQUIRE(cond, msg)                                         \
-  do {                                                                       \
-    if (!(cond)) {                                                           \
-      ::sparsedet::internal::ThrowInvalidArgument(__FILE__, __LINE__, #cond, \
-                                                  (msg));                    \
-    }                                                                        \
+#define SPARSEDET_REQUIRE(cond, msg)                                \
+  do {                                                              \
+    if (!(cond)) {                                                  \
+      ::sparsedet::internal::ThrowInvalidArgument(#cond, (msg));    \
+    }                                                               \
   } while (false)
 
-#define SPARSEDET_CHECK(cond, msg)                                      \
-  do {                                                                  \
-    if (!(cond)) {                                                      \
-      ::sparsedet::internal::ThrowInternal(__FILE__, __LINE__, #cond,   \
-                                           (msg));                      \
-    }                                                                   \
+#define SPARSEDET_CHECK(cond, msg)                                  \
+  do {                                                              \
+    if (!(cond)) {                                                  \
+      ::sparsedet::internal::ThrowInternal(#cond, (msg));           \
+    }                                                               \
   } while (false)
 
 #ifdef NDEBUG

@@ -2,12 +2,10 @@
 // trials, the literal region enumeration, parameter sweeps).
 //
 // ParallelFor runs `body(i)` for every i in [0, n) on up to `threads`
-// workers using chunked work stealing: the index range is split into one
-// contiguous shard per worker (good locality), workers claim small chunks
-// from their own shard, and a worker whose shard is exhausted steals the
-// upper half of the fullest remaining shard. Uneven per-index costs
-// (Monte-Carlo trials vary with the track drawn) therefore cannot leave
-// workers idle behind one long static partition.
+// workers. Every worker claims the next `grain` indices from one shared
+// atomic cursor (one atomic add per claim, no lock), so uneven per-index
+// costs (Monte-Carlo trials vary with the track drawn) cannot leave
+// workers idle behind a long static partition.
 //
 // Contracts:
 //   * Results must be written to pre-sized storage indexed by `i` (or
@@ -49,8 +47,8 @@ std::size_t SolverThreads();
 struct ParallelOptions {
   // Worker count; 0 uses SolverThreads(), 1 runs inline on the caller.
   std::size_t threads = 0;
-  // Minimum indices per claimed chunk. Raise for very cheap bodies so the
-  // per-chunk claim cost (one brief mutex acquisition) amortizes.
+  // Indices per claimed chunk. Raise for very cheap bodies so the
+  // per-chunk claim cost (one atomic add on the shared cursor) amortizes.
   std::size_t grain = 1;
   // Rough per-index cost estimate in nanoseconds; 0 = unknown. When given,
   // the loop stays serial whenever n * work_ns_hint falls below 100 us,

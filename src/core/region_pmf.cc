@@ -274,10 +274,11 @@ Pmf ComputeCappedRegionReportPmfLiteral(int num_nodes, double field_area,
   const std::size_t out_size =
       static_cast<std::size_t>(effective_cap) * max_periods + 1;
   // The per-depth enumerations are independent and wildly uneven (cost
-  // grows as areas.size()^n), so run them under work stealing; the final
-  // accumulation below walks depths in index order, which keeps the
-  // floating-point association — and hence the bits — identical to the
-  // sequential loop for every thread count.
+  // grows as areas.size()^n), so workers claim depths one at a time from
+  // ParallelFor's shared cursor; the final accumulation below walks depths
+  // in index order, which keeps the floating-point association — and
+  // hence the bits — identical to the sequential loop for every thread
+  // count.
   std::vector<std::vector<double>> partials(
       static_cast<std::size_t>(effective_cap) + 1);
   // The depth-n enumeration visits ~areas.size()^n tuples; the deepest

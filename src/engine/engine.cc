@@ -78,6 +78,12 @@ std::size_t UnitCostProxy(const WorkUnit& unit) {
   return n * m * m;
 }
 
+// Units whose cost proxy falls below this (~one millisecond of solve
+// work) share pool tasks; heavier units keep a task to themselves for
+// latency. Grouping only re-buckets which worker runs which unit, so every
+// output byte is the same either way.
+constexpr std::size_t kGroupCostThreshold = std::size_t{1} << 20;
+
 // Group chunks aim for at least this many units each; fewer units than
 // this per available worker and the dispatch overhead being amortized is
 // already negligible.
@@ -220,9 +226,6 @@ JsonValue BatchEngine::OptionsJson() const {
            static_cast<std::int64_t>(options_.cache_capacity))
       .Set("memo_cache_entries",
            static_cast<std::int64_t>(options_.memo_cache_entries))
-      .Set("group_dispatch", options_.group_dispatch)
-      .Set("group_cost_threshold",
-           static_cast<std::int64_t>(options_.group_cost_threshold))
       .Set("unordered", options_.unordered)
       .Set("trace", options_.trace)
       .Set("max_queue", static_cast<std::int64_t>(options_.max_queue))
@@ -395,12 +398,12 @@ std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
 void BatchEngine::FlushSubmits(
     std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>>* fresh) {
   if (fresh->empty()) return;
-  const bool groupable =
-      options_.group_dispatch && options_.watchdog_stuck_ms == 0;
+  // The watchdog cancels whole pool tasks, and one stuck unit must not
+  // take its group-mates down with it: no grouping while it is armed.
+  const bool groupable = options_.watchdog_stuck_ms == 0;
   std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>> small;
   for (auto& entry : *fresh) {
-    if (groupable &&
-        UnitCostProxy(entry.second) < options_.group_cost_threshold) {
+    if (groupable && UnitCostProxy(entry.second) < kGroupCostThreshold) {
       small.push_back(std::move(entry));
     } else {
       SubmitUnit(entry.first, std::move(entry.second), /*attempt=*/1);
@@ -533,9 +536,12 @@ void BatchEngine::RunUnit(const std::shared_ptr<PendingUnit>& slot,
   } catch (const std::exception& e) {
     slot->error = std::string("internal error: ") + e.what();
   }
-  slot->solve_ns = obs::NowNanos() - started_ns;
-  metrics_.solve->Record(slot->solve_ns);
+  const std::int64_t solve_ns = obs::NowNanos() - started_ns;
+  metrics_.solve->Record(solve_ns);
   if (publish) {
+    // Only the publishing attempt writes the slot here: after a resubmit
+    // the retry owns it and may already be running on another worker.
+    slot->solve_ns = solve_ns;
     // Notify while holding the mutex: the coordinator may destroy this
     // engine (and the condvar) as soon as it observes done, so the
     // broadcast must complete before the waiter can re-acquire.
@@ -831,9 +837,7 @@ void BatchEngine::Serve(std::istream& in, std::ostream& out) {
 }
 
 void BatchEngine::StartAsync() {
-  if (emitter_.joinable()) return;
-  async_stop_ = false;
-  emitter_ = std::thread([this] { EmitterLoop(); });
+  if (emitter_ == nullptr) emitter_ = std::make_unique<WorkerPool>(1);
 }
 
 void BatchEngine::SubmitLineAsync(
@@ -847,61 +851,31 @@ void BatchEngine::SubmitLineAsync(
 void BatchEngine::SubmitAsync(
     InputLine line, std::shared_ptr<const resilience::CancelToken> parent,
     ResponseCallback done) {
-  AsyncItem item;
-  item.done = std::move(done);
+  SPARSEDET_CHECK(emitter_ != nullptr, "SubmitAsync before StartAsync");
+  std::shared_ptr<PendingRequest> request;  // null: a command line
+  InputLine command;
   if (line.kind == InputLine::Kind::kCommand) {
     // Answered at emission, so a pipelined {"cmd":"stats"} reflects every
     // request submitted before it.
-    item.command = std::move(line);
+    command = std::move(line);
   } else {
     std::lock_guard<std::mutex> lock(plan_mutex_);
-    item.request = PlanLine(std::move(line), std::move(parent));
+    request = PlanLine(std::move(line), std::move(parent));
   }
-  {
-    std::lock_guard<std::mutex> lock(async_mutex_);
-    ++async_pending_;
-    async_queue_.push_back(std::move(item));
-  }
-  async_cv_.notify_all();
-}
-
-void BatchEngine::EmitterLoop() {
-  for (;;) {
-    AsyncItem item;
-    {
-      std::unique_lock<std::mutex> lock(async_mutex_);
-      async_cv_.wait(lock,
-                     [this] { return async_stop_ || !async_queue_.empty(); });
-      if (async_queue_.empty()) return;  // stopped and fully drained
-      item = std::move(async_queue_.front());
-      async_queue_.pop_front();
-    }
-    std::string text = item.request != nullptr
-                           ? RenderRequest(*item.request)
-                           : AnswerCommand(item.command).ToString();
-    if (item.done) item.done(std::move(text));
-    {
-      std::lock_guard<std::mutex> lock(async_mutex_);
-      --async_pending_;
-    }
-    async_cv_.notify_all();
-  }
+  emitter_->Submit([this, request, command = std::move(command),
+                    done = std::move(done)] {
+    std::string text = request != nullptr
+                           ? RenderRequest(*request)
+                           : AnswerCommand(command).ToString();
+    if (done) done(std::move(text));
+  });
 }
 
 void BatchEngine::DrainAsync() {
-  std::unique_lock<std::mutex> lock(async_mutex_);
-  async_cv_.wait(lock, [this] { return async_pending_ == 0; });
+  if (emitter_ != nullptr) emitter_->Wait();
 }
 
-void BatchEngine::StopAsync() {
-  if (!emitter_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(async_mutex_);
-    async_stop_ = true;
-  }
-  async_cv_.notify_all();
-  emitter_.join();
-}
+void BatchEngine::StopAsync() { emitter_.reset(); }
 
 void BatchEngine::WriteStatsLine(std::ostream& out) const {
   out << stats().ToJson(cache_).ToString() << "\n";

@@ -32,7 +32,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <istream>
@@ -40,7 +39,6 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -74,20 +72,6 @@ struct EngineOptions {
   // construction, restored on destruction; the cached values themselves
   // persist across engines (they are keyed, immutable, and request-free).
   std::size_t memo_cache_entries = 4096;
-  // Cross-request batch dispatch. Fresh work units whose cost proxy falls
-  // below group_cost_threshold are packed into a few pool tasks instead of
-  // one task per unit: a paper-sized analytical solve runs in ~10 us, so
-  // per-task dispatch (queue mutex, condvar wakeup, ~us each) would
-  // otherwise dominate and a multi-thread pool could lose to a serial
-  // loop. Heavy units keep a task to themselves for latency. Results and
-  // every output byte are unchanged either way — grouping only re-buckets
-  // which worker runs which unit. Grouping is bypassed while the watchdog
-  // is armed: the watchdog cancels whole pool tasks, and one stuck unit
-  // must not take its group-mates down with it.
-  bool group_dispatch = true;
-  // Units below this rough elementary-operation count are groupable
-  // (~one millisecond of solve work at the default).
-  std::size_t group_cost_threshold = std::size_t{1} << 20;
   bool unordered = false;  // emit completions immediately, tagged by id
   bool trace = false;      // attach a "trace" span object to response lines
   std::string trace_file;  // JSONL span log path; empty = no span file
@@ -205,8 +189,8 @@ class BatchEngine {
   // The SLO tracker, or null unless options.slo enabled one.
   obs::SloTracker* slo() { return slo_.get(); }
 
-  // Called at the end of every rendered request (the emitter thread in
-  // async mode, the coordinator in the sync paths) with the request's
+  // Called at the end of every rendered request (the emitter in async
+  // mode, the coordinator in the sync paths) with the request's
   // flattened span. Install before traffic starts; the hook must not
   // block or re-enter the engine. Front-ends use it to feed their own
   // histograms (server_queue_wait_us / server_solve_us).
@@ -221,22 +205,25 @@ class BatchEngine {
   //
   // The async API decouples planning from emission so many connections can
   // feed one engine concurrently. SubmitAsync plans the line immediately
-  // (on the caller's thread, serialized by an internal mutex)
-  // and enqueues it on a global FIFO; a dedicated emitter thread renders
-  // responses in FIFO order — which preserves both the per-submitter
-  // response order and the coordinator-thread cache-op ordering the
-  // determinism contract requires — and hands each rendered line (no
-  // trailing newline) to its callback. Callbacks run on the emitter
-  // thread and must not block or re-enter the engine.
+  // (on the caller's thread, serialized by an internal mutex) and submits
+  // one render task to the emitter, a one-worker WorkerPool that StartAsync
+  // creates. One worker renders responses in submission order — which
+  // preserves both the per-submitter response order and the
+  // coordinator-thread cache-op ordering the determinism contract
+  // requires — and hands each rendered line (no trailing newline) to its
+  // callback. Callbacks run on the emitter's worker thread and must not
+  // block or re-enter the engine.
   //
   // `parent` (optional) chains under every token the request creates, so
   // cancelling it — e.g. on client disconnect — stops the request's units
   // at their next cancellation point. Command lines ({"cmd":...}) are
   // answered in FIFO position, reflecting all earlier submissions.
   using ResponseCallback = std::function<void(std::string response)>;
+  // Creates the emitter; a no-op while one is running.
   void StartAsync();
   // Submits a line the caller has read with ReadInputLine. Blank lines are
   // answered like malformed ones; front ends skip them before submitting.
+  // Calling it before StartAsync is an internal error.
   void SubmitAsync(InputLine line,
                    std::shared_ptr<const resilience::CancelToken> parent,
                    ResponseCallback done);
@@ -246,26 +233,22 @@ class BatchEngine {
                        bool oversized, ResponseCallback done);
   // Blocks until every submitted line has been rendered and called back.
   void DrainAsync();
-  // DrainAsync + stop the emitter thread. StartAsync may be called again.
+  // Destroys the emitter, which first answers every line still queued.
+  // StartAsync may be called again.
   void StopAsync();
 
   // Front-end extension point: answers every command line other than
   // "stats" (the front end knows its own command table). Without a hook
   // those get {"error": "unknown cmd; expected \"stats\""}. The hook runs
   // synchronously on the thread answering the line — the serve loop, idle
-  // between requests, or the emitter thread in async mode, where it must
-  // not block. Install before traffic starts.
+  // between requests, or the emitter in async mode, where it must not
+  // block. Install before traffic starts.
   using CommandHook = std::function<JsonValue(const InputLine& line)>;
   void SetCommandHook(CommandHook hook) { command_hook_ = std::move(hook); }
 
  private:
   struct PendingUnit;
   struct PendingRequest;
-  struct AsyncItem {
-    std::unique_ptr<PendingRequest> request;  // null: a command line
-    InputLine command;
-    ResponseCallback done;
-  };
 
   // Plans one read line into a pending request, submitting any newly
   // needed evaluations to the pool. Too-long and malformed lines become
@@ -282,14 +265,13 @@ class BatchEngine {
   // The response object for a command line: "stats" is answered with
   // StatsSnapshotJson(), every other name by the command hook.
   JsonValue AnswerCommand(const InputLine& line);
-  void EmitterLoop();
   // Hands one evaluation attempt for `unit` to the pool. Attempt 1 comes
   // from the coordinator; retries resubmit from the failing worker.
   void SubmitUnit(const std::shared_ptr<PendingUnit>& slot, WorkUnit unit,
                   int attempt);
   // Dispatches the freshly planned units of one request: heavy units one
-  // pool task each, small units grouped into contiguous chunks (see
-  // EngineOptions::group_dispatch). Clears `*fresh`.
+  // pool task each, small units grouped into a few contiguous chunks, so
+  // per-task dispatch does not dominate a ~10 us solve. Clears `*fresh`.
   void FlushSubmits(
       std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>>* fresh);
   // The worker-side body of one attempt: fault injection, cancellation
@@ -333,13 +315,10 @@ class BatchEngine {
   // uncontended lock per request.
   mutable std::mutex plan_mutex_;
 
-  // Async emission: a global FIFO drained by one emitter thread.
-  std::mutex async_mutex_;
-  std::condition_variable async_cv_;
-  std::deque<AsyncItem> async_queue_;
-  std::size_t async_pending_ = 0;  // queued + currently rendering
-  bool async_stop_ = false;
-  std::thread emitter_;
+  // Async emission: one worker, so tasks render in submission order. Null
+  // outside StartAsync/StopAsync. Declared last: its tasks use every
+  // member above.
+  std::unique_ptr<WorkerPool> emitter_;
 };
 
 }  // namespace sparsedet::engine

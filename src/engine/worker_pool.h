@@ -1,10 +1,12 @@
 // Persistent worker pool with a shared task queue, plus a watchdog.
 //
-// Unlike ParallelFor (which spawns one thread per call and partitions a
-// fixed index range), the pool keeps its workers alive for the engine's
-// lifetime and feeds them independent tasks as they arrive — the right
+// Unlike ParallelFor (which spawns threads per call to walk a fixed index
+// range), the pool keeps its workers alive for the engine's lifetime and
+// feeds them independent tasks as they arrive — the right
 // shape for a stream of heterogeneous requests where one expensive
-// simulate must not serialize a thousand cheap analyzes behind it.
+// simulate must not serialize a thousand cheap analyzes behind it. A
+// one-worker pool runs its tasks in submission order, which is how the
+// engine's async emitter and the TCP server's long-command executor use it.
 //
 // Tasks must not throw, with one sanctioned exception: a task may throw
 // resilience::WorkerAbort to simulate (or report) a crashed worker. The

@@ -1,21 +1,15 @@
 #include "server/optimize_exec.h"
 
 #include <chrono>
+#include <thread>
 #include <utility>
 
+#include "common/check.h"
 #include "obs/log.h"
+#include "obs/timer.h"
 #include "opt/backend.h"
 
 namespace sparsedet::server {
-namespace {
-
-std::int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 const LongCommand* FindLongCommand(const std::string& name) {
   for (const LongCommand& command : kLongCommands) {
@@ -45,24 +39,16 @@ OptimizeExecutor::OptimizeExecutor(engine::BatchEngine& engine,
 OptimizeExecutor::~OptimizeExecutor() { Stop(); }
 
 void OptimizeExecutor::Start() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (started_) return;
-  started_ = true;
-  stop_ = false;
-  worker_ = std::thread([this] { Loop(); });
+  if (pool_ != nullptr) return;
+  engine::WorkerPoolOptions options;
+  options.threads = 1;
+  options.queue_depth_gauge = queue_depth_;
+  pool_ = std::make_unique<engine::WorkerPool>(options);
 }
 
-void OptimizeExecutor::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!started_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  worker_.join();
-  std::lock_guard<std::mutex> lock(mutex_);
-  started_ = false;
-}
+// Stop drains: every submitted job still answers (the server's
+// outstanding-response accounting depends on it).
+void OptimizeExecutor::Stop() { pool_.reset(); }
 
 void OptimizeExecutor::BeginDrain() {
   draining_.store(true, std::memory_order_release);
@@ -71,37 +57,18 @@ void OptimizeExecutor::BeginDrain() {
 void OptimizeExecutor::Submit(
     const LongCommand& command, engine::InputLine line,
     std::shared_ptr<const resilience::CancelToken> cancel, Done done) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(
-        Job{&command, std::move(line), std::move(cancel), std::move(done)});
-    queue_depth_->Set(static_cast<std::int64_t>(queue_.size()));
-  }
+  SPARSEDET_CHECK(pool_ != nullptr, "OptimizeExecutor::Submit outside Start");
   jobs_total_->Inc();
-  cv_.notify_one();
-}
-
-void OptimizeExecutor::Loop() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      // Stop drains: every submitted job still answers (the server's
-      // outstanding-response accounting depends on it).
-      if (queue_.empty()) return;
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      queue_depth_->Set(static_cast<std::int64_t>(queue_.size()));
-    }
+  pool_->Submit([this, job = Job{&command, std::move(line), std::move(cancel),
+                                 std::move(done)}] {
     running_->Set(1);
     std::string response = RunJob(job);
     running_->Set(0);
     if (job.done) job.done(std::move(response));
-  }
+  });
 }
 
-std::string OptimizeExecutor::RunJob(Job& job) {
+std::string OptimizeExecutor::RunJob(const Job& job) {
   opt::AsyncEngineBackend backend(engine_, job.cancel);
   opt::OptimizerHooks hooks;
   hooks.cancel = job.cancel;
@@ -117,7 +84,7 @@ std::string OptimizeExecutor::RunJob(Job& job) {
     (void)batch_size;
     if (draining_.load(std::memory_order_acquire)) return false;
     if (!governor_.enabled()) return true;
-    while (!governor_.Admit(tenant, NowNs())) {
+    while (!governor_.Admit(tenant, obs::NowNanos())) {
       if (cancel != nullptr) cancel->ThrowIfCancelled();
       if (deadline.set() && deadline.Expired()) return false;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -145,9 +112,8 @@ std::string OptimizeExecutor::RunJob(Job& job) {
 
 JsonValue OptimizeExecutor::StatuszJson() const {
   JsonValue obj = JsonValue::Object();
-  std::lock_guard<std::mutex> lock(mutex_);
   obj.Set("jobs_total", static_cast<std::int64_t>(jobs_total_->Value()))
-      .Set("queue_depth", static_cast<std::int64_t>(queue_.size()))
+      .Set("queue_depth", queue_depth_->Value())
       .Set("running", running_->Value());
   return obj;
 }

@@ -10,15 +10,15 @@
 // would deadlock — the run blocks waiting for inner-solve callbacks that
 // fire on that very thread.
 //
-// So long commands get a dedicated executor: one worker thread and a FIFO
-// job queue. Jobs run through AsyncEngineBackend (inner solves interleave
-// with regular connection traffic on the shared engine, all against the
-// shared memo cache) under the submitting connection's cancel token, so a
-// disconnect aborts the run between batches. Per-tenant admission is
-// applied per inner-solve *batch* via the shared admit hook — one governor
-// token per batch, the same bucket that gates the tenant's regular
-// requests — so a tenant's long command and its plain traffic share one
-// quota.
+// So long commands get a dedicated executor: a one-worker WorkerPool, which
+// runs jobs one at a time in submission order. Jobs run through
+// AsyncEngineBackend (inner solves interleave with regular connection
+// traffic on the shared engine, all against the shared memo cache) under
+// the submitting connection's cancel token, so a disconnect aborts the run
+// between batches. Per-tenant admission is applied per inner-solve *batch*
+// via the shared admit hook — one governor token per batch, the same
+// bucket that gates the tenant's regular requests — so a tenant's long
+// command and its plain traffic share one quota.
 //
 // Drain: when the server starts a SIGTERM drain it calls BeginDrain().
 // From that point the admit hook refuses every further batch, so running
@@ -29,18 +29,14 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "adapt/adapt.h"
 #include "common/json.h"
 #include "engine/engine.h"
+#include "engine/worker_pool.h"
 #include "obs/metrics.h"
 #include "opt/optimizer.h"
 #include "resilience/cancel.h"
@@ -78,9 +74,10 @@ class OptimizeExecutor {
   OptimizeExecutor(const OptimizeExecutor&) = delete;
   OptimizeExecutor& operator=(const OptimizeExecutor&) = delete;
 
+  // Creates the worker; a no-op while one is running.
   void Start();
-  // Drains the queue (every submitted job still gets its callback), then
-  // joins the worker. Idempotent.
+  // Runs every queued job (each still gets its callback), then joins the
+  // worker. Idempotent; Start may be called again.
   void Stop();
 
   // Flags a server drain in progress: every subsequent inner-solve batch
@@ -95,7 +92,8 @@ class OptimizeExecutor {
   // between inner-solve batches — pass the connection token so a
   // disconnect stops paying for an answer nobody will read. `done` runs on
   // the executor thread with the rendered response line (no trailing
-  // newline) and must not block.
+  // newline) and must not block. Calling it outside Start/Stop is an
+  // internal error.
   void Submit(const LongCommand& command, engine::InputLine line,
               std::shared_ptr<const resilience::CancelToken> cancel,
               Done done);
@@ -111,8 +109,7 @@ class OptimizeExecutor {
     Done done;
   };
 
-  void Loop();
-  std::string RunJob(Job& job);
+  std::string RunJob(const Job& job);
 
   engine::BatchEngine& engine_;
   TenantGovernor& governor_;
@@ -123,12 +120,10 @@ class OptimizeExecutor {
 
   std::atomic<bool> draining_{false};
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Job> queue_;
-  bool stop_ = false;
-  bool started_ = false;
-  std::thread worker_;
+  // One worker: jobs run one at a time, in submission order. Null outside
+  // Start/Stop. Declared last: its destructor runs queued jobs, which use
+  // every member above.
+  std::unique_ptr<engine::WorkerPool> pool_;
 };
 
 }  // namespace sparsedet::server

@@ -18,20 +18,12 @@
 #include "common/json.h"
 #include "common/version.h"
 #include "obs/log.h"
+#include "obs/timer.h"
 #include "prob/memo_cache.h"
 #include "prob/memo_snapshot.h"
 #include "resilience/cancel.h"
 
 namespace sparsedet::server {
-namespace {
-
-std::int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 struct TcpServer::Conn {
   explicit Conn(std::size_t max_line_bytes) : decoder(max_line_bytes) {}
@@ -175,7 +167,7 @@ void TcpServer::Start() {
   optimize_exec_ = std::make_unique<OptimizeExecutor>(engine_, governor_);
   optimize_exec_->Start();
   drain_state_->Set(0);
-  start_ns_ = NowNs();
+  start_ns_ = obs::NowNanos();
   if (options_.admin_port >= 0) StartAdmin();
   obs::LogInfo("server", "started",
                JsonValue::Object()
@@ -280,7 +272,7 @@ void TcpServer::Run() {
       if (events[i].events & EPOLLIN) HandleReadable(conn);
       if (events[i].events & EPOLLOUT) HandleWritable(conn);
     }
-    if (options_.idle_timeout_ms > 0) CloseIdleConns(NowNs());
+    if (options_.idle_timeout_ms > 0) CloseIdleConns(obs::NowNanos());
   }
 
   // Drained: close remaining sockets, persist the memo snapshot.
@@ -342,7 +334,7 @@ void TcpServer::Accept() {
     auto conn = std::make_shared<Conn>(engine_.options().max_line_bytes);
     conn->fd = fd;
     conn->id = next_conn_id_++;
-    conn->last_activity_ns = NowNs();
+    conn->last_activity_ns = obs::NowNanos();
     // No deadline, and memo inserts stay allowed: a disconnect abandons
     // the response, it does not invalidate completed sub-results.
     conn->token = std::make_shared<resilience::CancelToken>(
@@ -364,7 +356,7 @@ void TcpServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
   for (;;) {
     const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
     if (n > 0) {
-      conn->last_activity_ns = NowNs();
+      conn->last_activity_ns = obs::NowNanos();
       conn->decoder.Feed(buf, static_cast<std::size_t>(n));
       continue;
     }
@@ -411,7 +403,8 @@ void TcpServer::ProcessLines(const std::shared_ptr<Conn>& conn) {
     // lines — an operator path, or a long command, which pays per
     // inner-solve batch inside the executor instead.
     if (line.kind == Kind::kRequest && line.json.is_object() &&
-        governor_.enabled() && !governor_.Admit(line.tenant, NowNs())) {
+        governor_.enabled() &&
+        !governor_.Admit(line.tenant, obs::NowNanos())) {
       JsonValue response = JsonValue::Object();
       response.Set("id", line.id)
           .Set("error", "tenant quota exceeded")
@@ -481,7 +474,7 @@ void TcpServer::FlushConn(const std::shared_ptr<Conn>& conn) {
       const framing::WriteResult result = framing::WriteSomeFd(
           conn->fd, conn->outbuf.data(), conn->outbuf.size());
       if (result.written > 0) {
-        conn->last_activity_ns = NowNs();
+        conn->last_activity_ns = obs::NowNanos();
         conn->outbuf.erase(0, result.written);
       }
       if (result.error) {
@@ -637,7 +630,7 @@ JsonValue TcpServer::StatuszJson() const {
 
   JsonValue json = JsonValue::Object();
   json.Set("build", std::move(build))
-      .Set("uptime_ms", (NowNs() - start_ns_) / 1'000'000)
+      .Set("uptime_ms", (obs::NowNanos() - start_ns_) / 1'000'000)
       .Set("host", options_.host)
       .Set("port", port_)
       .Set("admin_port", admin_ != nullptr ? admin_->port() : -1)
@@ -654,7 +647,7 @@ JsonValue TcpServer::StatuszJson() const {
       .Set("log", std::move(log_json));
   obs::SloTracker* slo = engine_.slo();
   if (slo != nullptr) {
-    json.Set("slo", slo->StatusJson(NowNs()));
+    json.Set("slo", slo->StatusJson(obs::NowNanos()));
   } else {
     JsonValue off = JsonValue::Object();
     off.Set("enabled", false);

@@ -1,7 +1,5 @@
 #include "sim/multi_target.h"
 
-#include <algorithm>
-#include <cmath>
 #include <numbers>
 
 #include "common/check.h"
@@ -10,37 +8,6 @@
 #include "sim/deployment.h"
 
 namespace sparsedet {
-namespace {
-
-// Same wrap-image sensing test the single-target trial uses (trial.cc);
-// duplicated here in simplified form because the multi-target trial also
-// defaults to the analysis-matching toroidal geometry.
-double GeometryProbability(const SensingModel& sensing, Vec2 sensor,
-                           const Segment& segment, SensingGeometry geometry,
-                           const Field& field) {
-  if (geometry == SensingGeometry::kPlanar) {
-    return sensing.DetectionProbability(sensor, segment);
-  }
-  const double w = field.width();
-  const double h = field.height();
-  const double ox = std::floor(segment.a.x / w) * w;
-  const double oy = std::floor(segment.a.y / h) * h;
-  const Segment local({segment.a.x - ox, segment.a.y - oy},
-                      {segment.b.x - ox, segment.b.y - oy});
-  double best = 0.0;
-  for (int dx = -1; dx <= 1; ++dx) {
-    for (int dy = -1; dy <= 1; ++dy) {
-      best = std::max(best, sensing.DetectionProbability(
-                                {sensor.x + dx * w, sensor.y + dy * h},
-                                local));
-      if (best >= 1.0) return best;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 MultiTargetResult RunParallelTargetsTrial(const TrialConfig& config,
                                           int num_targets, double separation,
                                           Rng& rng) {
@@ -85,8 +52,8 @@ MultiTargetResult RunParallelTargetsTrial(const TrialConfig& config,
         const Segment seg(result.target_paths[t][period],
                           result.target_paths[t][period + 1]);
         const double p =
-            GeometryProbability(sensing, result.node_positions[node], seg,
-                                config.geometry, field);
+            GeometryAwareProbability(sensing, result.node_positions[node],
+                                     seg, config.geometry, field);
         if (p > 0.0 && rng.Bernoulli(p)) {
           ++result.per_target_reports[t];
           sensed_any = true;

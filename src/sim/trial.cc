@@ -16,38 +16,6 @@ Field MakeField(const SystemParams& params) {
   return Field(params.field_width, params.field_height);
 }
 
-// Detection probability of `sensor` against one period's path segment,
-// honoring the trial's sensing geometry. For the toroidal geometry the
-// segment is translated so its start lies inside the field and the sensor
-// is tested at its nine wrap images; valid while a period's segment is
-// shorter than the field (checked), which holds for every scenario in the
-// paper by orders of magnitude.
-double GeometryAwareProbability(const SensingModel& sensing, Vec2 sensor,
-                                const Segment& segment,
-                                SensingGeometry geometry, const Field& field) {
-  if (geometry == SensingGeometry::kPlanar) {
-    return sensing.DetectionProbability(sensor, segment);
-  }
-  const double w = field.width();
-  const double h = field.height();
-  SPARSEDET_DCHECK(segment.Length() < std::min(w, h),
-                   "toroidal sensing requires per-period steps shorter "
-                   "than the field");
-  const double ox = std::floor(segment.a.x / w) * w;
-  const double oy = std::floor(segment.a.y / h) * h;
-  const Segment local({segment.a.x - ox, segment.a.y - oy},
-                      {segment.b.x - ox, segment.b.y - oy});
-  double best = 0.0;
-  for (int dx = -1; dx <= 1; ++dx) {
-    for (int dy = -1; dy <= 1; ++dy) {
-      const Vec2 image{sensor.x + dx * w, sensor.y + dy * h};
-      best = std::max(best, sensing.DetectionProbability(image, local));
-      if (best >= 1.0) return best;
-    }
-  }
-  return best;
-}
-
 std::vector<bool> DrawAliveFlags(const TrialConfig& config, Rng& rng) {
   std::vector<bool> alive(static_cast<std::size_t>(config.params.num_nodes),
                           true);
@@ -154,6 +122,32 @@ void SortReports(TrialResult& result) {
 }
 
 }  // namespace
+
+double GeometryAwareProbability(const SensingModel& sensing, Vec2 sensor,
+                                const Segment& segment,
+                                SensingGeometry geometry, const Field& field) {
+  if (geometry == SensingGeometry::kPlanar) {
+    return sensing.DetectionProbability(sensor, segment);
+  }
+  const double w = field.width();
+  const double h = field.height();
+  SPARSEDET_DCHECK(segment.Length() < std::min(w, h),
+                   "toroidal sensing requires per-period steps shorter "
+                   "than the field");
+  const double ox = std::floor(segment.a.x / w) * w;
+  const double oy = std::floor(segment.a.y / h) * h;
+  const Segment local({segment.a.x - ox, segment.a.y - oy},
+                      {segment.b.x - ox, segment.b.y - oy});
+  double best = 0.0;
+  for (int dx = -1; dx <= 1; ++dx) {
+    for (int dy = -1; dy <= 1; ++dy) {
+      const Vec2 image{sensor.x + dx * w, sensor.y + dy * h};
+      best = std::max(best, sensing.DetectionProbability(image, local));
+      if (best >= 1.0) return best;
+    }
+  }
+  return best;
+}
 
 TrialResult RunTrial(const TrialConfig& config, Rng& rng) {
   config.params.Validate();

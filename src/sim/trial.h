@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "core/params.h"
+#include "geometry/field.h"
 #include "sim/motion.h"
 #include "sim/sensing.h"
 
@@ -79,6 +80,17 @@ struct TrialResult {
   std::vector<Vec2> node_positions;
   std::vector<Vec2> target_path;  // M + 1 period-boundary positions
 };
+
+// Detection probability of `sensor` against one period's path segment,
+// honoring the trial's sensing geometry. For the toroidal geometry the
+// segment is translated so its start lies inside the field and the sensor
+// is tested at its nine wrap images; valid while a period's segment is
+// shorter than the field (checked in debug builds), which holds for every
+// scenario in the paper by orders of magnitude. Single- and multi-target
+// trials share it.
+double GeometryAwareProbability(const SensingModel& sensing, Vec2 sensor,
+                                const Segment& segment,
+                                SensingGeometry geometry, const Field& field);
 
 // Runs a single trial with randomness drawn from `rng`.
 TrialResult RunTrial(const TrialConfig& config, Rng& rng);

@@ -110,13 +110,17 @@ TEST(CliAdapt, SpecFileConflictsWithSpecBuildingFlags) {
     std::ofstream file(path);
     file << "{}";
   }
-  std::string out;
-  std::string err;
-  const int code = RunCli(
-      {"adapt", "--spec", path.c_str(), "--mean-lifetime-s", "1000"}, out,
-      err);
-  EXPECT_EQ(code, 2);
-  EXPECT_NE(err.find("conflicts with --spec"), std::string::npos) << err;
+  // A spec flag, a scenario flag and the last spec-building flag.
+  for (const char* flag : {"--mean-lifetime-s", "--nodes", "--trials"}) {
+    std::string out;
+    std::string err;
+    const int code = RunCli({"adapt", "--spec", path.c_str(), flag, "100"},
+                            out, err);
+    EXPECT_EQ(code, 2) << flag;
+    EXPECT_NE(err.find(std::string(flag) + " conflicts with --spec"),
+              std::string::npos)
+        << err;
+  }
   std::remove(path.c_str());
 }
 

@@ -93,13 +93,26 @@ TEST(CliOptimize, SpecFileConflictsWithSpecBuildingFlags) {
     std::ofstream file(path);
     file << "{}";
   }
-  std::string out;
-  std::string err;
-  const int code = RunCli(
-      {"optimize", "--spec", path.c_str(), "--search-nodes", "60:100:20"},
-      out, err);
-  EXPECT_EQ(code, 2);
-  EXPECT_NE(err.find("conflicts with --spec"), std::string::npos) << err;
+  // A spec flag, a scenario flag and the last spec-building flag; with
+  // two conflicts, the first declared (--nodes before --k) is named.
+  const std::vector<std::vector<const char*>> conflicts = {
+      {"--search-nodes", "60:100:20"},
+      {"--nodes", "100"},
+      {"--refine-rounds", "2"},
+      {"--k", "2", "--nodes", "100"},
+  };
+  const char* const named[] = {"--search-nodes", "--nodes",
+                               "--refine-rounds", "--nodes"};
+  for (std::size_t i = 0; i < conflicts.size(); ++i) {
+    std::vector<const char*> argv = {"optimize", "--spec", path.c_str()};
+    argv.insert(argv.end(), conflicts[i].begin(), conflicts[i].end());
+    std::string out;
+    std::string err;
+    EXPECT_EQ(RunCli(argv, out, err), 2) << conflicts[i][0];
+    EXPECT_NE(err.find(std::string(named[i]) + " conflicts with --spec"),
+              std::string::npos)
+        << err;
+  }
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,6 @@
 // ParallelFor contract tests beyond the smoke coverage in common_test.cc:
 // small-n thread budgeting (never more workers than chunks), grain
-// handling, work-stealing correctness under pathologically uneven loads,
+// handling, shared-cursor correctness under pathologically uneven loads,
 // race-free first-exception capture, cancellation propagation into
 // workers, and the SetSolverThreads scoped-restore protocol. These run
 // under the TSan CI job, so any data race inside the loop machinery or
@@ -79,26 +79,29 @@ TEST(ParallelForBudget, GrainCoversWholeLoopRunsInline) {
   EXPECT_TRUE(counter.caller_participated());
 }
 
-TEST(ParallelForStealing, UnevenLoadStillRunsEveryIndexOnce) {
+TEST(ParallelForCursor, UnevenLoadStillRunsEveryIndexOnce) {
   // Front-loaded cost: index 0 is ~1000x the others, so the worker that
-  // owns the first shard stalls and the rest must steal to finish. Every
-  // index still runs exactly once.
+  // claims it stalls and the rest must drain the cursor around it. At
+  // every grain, including one that does not divide kN, every index still
+  // runs exactly once.
   constexpr std::size_t kN = 512;
-  std::vector<std::atomic<int>> hits(kN);
-  for (auto& h : hits) h.store(0);
-  std::atomic<std::uint64_t> sink{0};
-  ParallelFor(
-      kN,
-      [&](std::size_t i) {
-        const int spins = i == 0 ? 200000 : 200;
-        std::uint64_t acc = 0;
-        for (int s = 0; s < spins; ++s) acc += s * (i + 1);
-        sink.fetch_add(acc, std::memory_order_relaxed);
-        hits[i].fetch_add(1);
-      },
-      4);
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  for (std::size_t grain : {1, 3, 64}) {
+    std::vector<std::atomic<int>> hits(kN);
+    for (auto& h : hits) h.store(0);
+    std::atomic<std::uint64_t> sink{0};
+    ParallelOptions options;
+    options.threads = 4;
+    options.grain = grain;
+    ParallelFor(kN, options, [&](std::size_t i) {
+      const int spins = i == 0 ? 200000 : 200;
+      std::uint64_t acc = 0;
+      for (int s = 0; s < spins; ++s) acc += s * (i + 1);
+      sink.fetch_add(acc, std::memory_order_relaxed);
+      hits[i].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "grain " << grain << " index " << i;
+    }
   }
 }
 

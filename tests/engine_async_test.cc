@@ -2,7 +2,8 @@
 // contract): callbacks fire in global submission order, interleaved
 // command lines answer in their FIFO position, oversized lines reject
 // without planning, responses are byte-identical to the synchronous serve
-// loop, and DrainAsync blocks until every submitted line is answered.
+// loop, DrainAsync blocks until every submitted line is answered, and
+// StopAsync answers every line still queued before it returns.
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -127,6 +128,40 @@ TEST(EngineAsync, OversizedFlagRejectsWithoutPlanning) {
   engine.DrainAsync();
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_NE(responses[0].find("line_too_long"), std::string::npos);
+}
+
+TEST(EngineAsync, StopAnswersEveryQueuedLineInOrderAndRestarts) {
+  EngineOptions options;
+  options.threads = 4;
+  BatchEngine engine(options);
+  engine.StartAsync();
+
+  const std::vector<std::string> lines = MakeLines(20);
+  std::mutex mutex;
+  std::vector<std::string> responses;
+  const auto record = [&](std::string response) {
+    std::lock_guard<std::mutex> lock(mutex);
+    responses.push_back(std::move(response));
+  };
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    engine.SubmitLineAsync(lines[i], static_cast<int>(i + 1), nullptr,
+                           /*oversized=*/false, record);
+  }
+  engine.StopAsync();  // no DrainAsync first: stopping must not drop lines
+  ASSERT_EQ(responses.size(), lines.size());
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    const std::string id_field = "\"id\":" + std::to_string(i) + ",";
+    EXPECT_NE(responses[i].find(id_field), std::string::npos)
+        << "response " << i << " out of order: " << responses[i];
+  }
+
+  engine.StartAsync();
+  engine.SubmitLineAsync(R"({"id":99,"op":"analyze"})", 21, nullptr, false,
+                         record);
+  engine.DrainAsync();
+  ASSERT_EQ(responses.size(), lines.size() + 1);
+  EXPECT_NE(responses.back().find("\"id\":99,"), std::string::npos)
+      << responses.back();
 }
 
 TEST(EngineAsync, DrainWithNothingSubmittedReturnsImmediately) {

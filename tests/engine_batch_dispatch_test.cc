@@ -1,10 +1,11 @@
-// Edge cases for the engine's cross-request group dispatch (PR10): small
-// work units are bucketed into chunked pool tasks instead of one task per
-// unit (engine.cc FlushSubmits). The contract under test is that grouping
+// Edge cases for the engine's group dispatch: a request's small work units
+// are bucketed into chunked pool tasks instead of one task per unit
+// (engine.cc FlushSubmits). The contract under test is that grouping
 // changes SCHEDULING ONLY — for every batch shape, the response stream is
-// byte-identical to the serial (group_dispatch = false) engine, errors
-// stay per-request, and cancellation/fault recovery behave exactly as
-// they do under per-unit dispatch.
+// byte-identical to the serial (one-worker) engine, errors stay
+// per-request, and cancellation/fault recovery behave exactly as they do
+// under per-unit dispatch.
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,19 +35,22 @@ std::string RunBatch(const EngineOptions& options, const std::string& input) {
   return out.str();
 }
 
-EngineOptions Opts(int threads, bool group_dispatch,
-                   std::size_t group_cost_threshold =
-                       EngineOptions{}.group_cost_threshold) {
+EngineOptions Opts(int threads) {
   EngineOptions options;
   options.threads = threads;
-  options.group_dispatch = group_dispatch;
-  options.group_cost_threshold = group_cost_threshold;
   return options;
 }
 
+std::uint64_t CounterValue(const BatchEngine& engine, const char* name) {
+  for (const auto& counter : engine.MetricsSnapshot().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
 // A batch of many tiny units: 6 sweeps x 5 points, every unit far below
-// the default grouping threshold, plus some repeats so coalescing and
-// grouping interact.
+// the grouping threshold, plus some repeats so coalescing and grouping
+// interact.
 std::string TinySweepBatch() {
   std::string batch;
   for (int i = 0; i < 6; ++i) {
@@ -63,8 +67,8 @@ std::string TinySweepBatch() {
 
 TEST(GroupDispatch, SingleRequestBatchMatchesSerial) {
   const std::string batch = R"({"id":"only","op":"analyze"})" "\n";
-  const std::string grouped = RunBatch(Opts(4, true), batch);
-  const std::string serial = RunBatch(Opts(1, false), batch);
+  const std::string grouped = RunBatch(Opts(4), batch);
+  const std::string serial = RunBatch(Opts(1), batch);
   EXPECT_EQ(grouped, serial);
   const JsonValue response = ParseJson(Lines(grouped).at(0));
   EXPECT_EQ(response.Find("id")->AsString(), "only");
@@ -73,37 +77,29 @@ TEST(GroupDispatch, SingleRequestBatchMatchesSerial) {
 
 TEST(GroupDispatch, AllTinyBatchIsByteIdenticalAcrossModes) {
   const std::string batch = TinySweepBatch();
-  const std::string reference = RunBatch(Opts(1, false), batch);
+  const std::string reference = RunBatch(Opts(1), batch);
   for (int threads : {1, 2, 8}) {
-    for (bool group : {true, false}) {
-      EXPECT_EQ(RunBatch(Opts(threads, group), batch), reference)
-          << "threads=" << threads << " group=" << group;
-    }
+    EXPECT_EQ(RunBatch(Opts(threads), batch), reference)
+        << "threads=" << threads;
   }
 }
 
 TEST(GroupDispatch, MixedTinyAndHugeUnitsMatchSerial) {
-  // Drop the threshold to 1 so every unit counts as "big" (all direct),
-  // raise it to SIZE_MAX so every unit is "small" (all grouped), and
-  // leave the default for the genuine mix; all three must match serial.
+  // The sweeps' points share group tasks, the lone analyze is submitted
+  // alone, and the 5000-trial simulate is above the grouping threshold;
+  // the mix must match serial.
   const std::string batch =
       TinySweepBatch() +
       R"({"id":"big","op":"analyze","params":{"nodes":240}})" "\n" +
       R"({"id":"mc","op":"simulate","params":{"nodes":120},)"
       R"("sim":{"trials":5000,"seed":11}})" "\n";
-  const std::string reference = RunBatch(Opts(1, false), batch);
-  const std::size_t kDefault = EngineOptions{}.group_cost_threshold;
-  for (std::size_t threshold :
-       {std::size_t{1}, kDefault, static_cast<std::size_t>(-1)}) {
-    EXPECT_EQ(RunBatch(Opts(4, true, threshold), batch), reference)
-        << "threshold=" << threshold;
-  }
+  EXPECT_EQ(RunBatch(Opts(4), batch), RunBatch(Opts(1), batch));
 }
 
 TEST(GroupDispatch, ResponsesStayInInputOrderUnderGrouping) {
   const std::string batch = TinySweepBatch();
   const std::vector<std::string> lines =
-      Lines(RunBatch(Opts(8, true), batch));
+      Lines(RunBatch(Opts(8), batch));
   ASSERT_EQ(lines.size(), 6u);
   for (std::size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(ParseJson(lines[i]).Find("id")->AsString(),
@@ -111,29 +107,26 @@ TEST(GroupDispatch, ResponsesStayInInputOrderUnderGrouping) {
   }
 }
 
-TEST(GroupDispatch, OptionsJsonReportsDispatchConfiguration) {
-  BatchEngine engine(Opts(2, true, 12345));
-  const std::string json = engine.OptionsJson().ToString();
-  EXPECT_NE(json.find("\"group_dispatch\":true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"group_cost_threshold\":12345"), std::string::npos)
-      << json;
-}
-
 // ---- cancellation inside a group --------------------------------------
 
 TEST(GroupDispatch, DeadlinedUnitInsideGroupCancelsOnlyItself) {
-  // Force EVERYTHING into group tasks (threshold = SIZE_MAX), then put an
-  // enormous analyze with a short deadline between small requests. The
-  // group task chains a per-unit token off the request token, so the huge
-  // unit must cancel promptly while its group-mates complete normally.
+  // A deadline-bearing sweep between two small requests. Its five points
+  // are each below the grouping threshold, so they share one group task,
+  // and each one solves for about half a second at these caps. The group
+  // task chains a per-unit token off the request token, so the deadline
+  // cancels the running point and the ones queued behind it, while the
+  // neighbouring requests complete normally. One worker runs the tasks in
+  // order, so "post" is answered only after the group task has finished
+  // and its cancellations are counted.
   const std::string batch =
       R"({"id":"pre","op":"analyze","params":{"nodes":90}})" "\n" +
-      std::string(R"({"id":"huge","op":"analyze",)"
-                  R"("params":{"nodes":20000},)"
-                  R"("options":{"gh":6000,"g":6000},"deadline_ms":200})") +
+      std::string(R"({"id":"slow","op":"sweep","params":{"nodes":2400},)"
+                  R"("options":{"gh":2400,"g":2400},)"
+                  R"("sweep":{"param":"nodes","from":2400,"to":2600,)"
+                  R"("step":50},"deadline_ms":100})") +
       "\n" +
       R"({"id":"post","op":"analyze","params":{"nodes":110}})" "\n";
-  EngineOptions options = Opts(2, true, static_cast<std::size_t>(-1));
+  EngineOptions options = Opts(1);
   options.retry.max_attempts = 1;
   BatchEngine engine(options);
   std::istringstream in(batch);
@@ -142,12 +135,14 @@ TEST(GroupDispatch, DeadlinedUnitInsideGroupCancelsOnlyItself) {
   const std::vector<std::string> lines = Lines(out.str());
   ASSERT_EQ(lines.size(), 3u);
   const JsonValue pre = ParseJson(lines[0]);
-  const JsonValue huge = ParseJson(lines[1]);
+  const JsonValue slow = ParseJson(lines[1]);
   const JsonValue post = ParseJson(lines[2]);
   EXPECT_NE(pre.Find("result"), nullptr) << lines[0];
-  ASSERT_NE(huge.Find("error_code"), nullptr) << lines[1];
-  EXPECT_EQ(huge.Find("error_code")->AsString(), "deadline_exceeded");
+  ASSERT_NE(slow.Find("error_code"), nullptr) << lines[1];
+  EXPECT_EQ(slow.Find("error_code")->AsString(), "deadline_exceeded");
   EXPECT_NE(post.Find("result"), nullptr) << lines[2];
+  // Only a chained token lets a grouped point observe the deadline.
+  EXPECT_GE(CounterValue(engine, "engine_cancelled_units_total"), 1u);
 }
 
 // ---- fault recovery inside a group ------------------------------------
@@ -158,9 +153,9 @@ TEST(GroupDispatch, InjectedWorkerAbortsResubmitGroupMates) {
   // abort propagates, so every request still resolves — with output
   // byte-identical to an undisturbed serial run.
   const std::string batch = TinySweepBatch();
-  const std::string reference = RunBatch(Opts(1, false), batch);
+  const std::string reference = RunBatch(Opts(1), batch);
 
-  EngineOptions faulty = Opts(2, true, static_cast<std::size_t>(-1));
+  EngineOptions faulty = Opts(2);
   // 6 faults max against 8 attempts per unit: recovery is guaranteed, so
   // any non-identical output is a dispatch bug, not fault-budget noise.
   faulty.retry.max_attempts = 8;
@@ -172,13 +167,7 @@ TEST(GroupDispatch, InjectedWorkerAbortsResubmitGroupMates) {
   std::ostringstream out;
   engine.RunBatch(in, out);
   EXPECT_EQ(out.str(), reference);
-  std::uint64_t injected = 0;
-  for (const auto& counter : engine.MetricsSnapshot().counters) {
-    if (counter.name == "engine_injected_faults_total") {
-      injected = counter.value;
-    }
-  }
-  EXPECT_GE(injected, 6u);
+  EXPECT_GE(CounterValue(engine, "engine_injected_faults_total"), 6u);
 }
 
 TEST(GroupDispatch, WatchdogArmedBypassesGroupingButStaysIdentical) {
@@ -186,8 +175,8 @@ TEST(GroupDispatch, WatchdogArmedBypassesGroupingButStaysIdentical) {
   // dispatch (a grouped chunk would hide per-unit liveness); the output
   // contract is unchanged.
   const std::string batch = TinySweepBatch();
-  const std::string reference = RunBatch(Opts(1, false), batch);
-  EngineOptions watched = Opts(2, true);
+  const std::string reference = RunBatch(Opts(1), batch);
+  EngineOptions watched = Opts(2);
   watched.watchdog_stuck_ms = 60000;  // armed, far from firing
   EXPECT_EQ(RunBatch(watched, batch), reference);
 }

@@ -377,6 +377,32 @@ TEST(BatchEngine, MalformedLinesAreIsolatedErrors) {
   EXPECT_EQ(engine.stats().errors, 3u);
 }
 
+TEST(BatchEngine, ErrorTextCarriesNoSourceLocation) {
+  // Check failures reach clients verbatim, so their text must not name the
+  // server's source files: a non-object line, gh < g and M <= ms fail in
+  // three different checks.
+  const std::string batch =
+      R"({"op":"analyze","params":{"nodes":-5}})"
+      "\n"
+      "[1,2]\n"
+      R"({"op":"analyze","options":{"gh":2,"g":3}})"
+      "\n"
+      R"({"op":"analyze","params":{"window":1}})"
+      "\n";
+  const std::vector<std::string> lines =
+      Lines(RunBatchText(batch, EngineOptions{}, /*with_stats=*/false));
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0],
+            R"({"id":1,"line":1,"error":"precondition failed: )"
+            R"((num_nodes >= 1) at least one sensor node is required"})");
+  for (const std::string& line : lines) {
+    const JsonValue response = ParseJson(line);
+    const JsonValue* error = response.Find("error");
+    ASSERT_NE(error, nullptr) << line;
+    EXPECT_EQ(error->AsString().find(".cc:"), std::string::npos) << line;
+  }
+}
+
 TEST(BatchEngine, UnorderedModeEmitsEveryResponseTagged) {
   EngineOptions options;
   options.threads = 4;

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "opt/backend.h"
 #include "opt/optimizer.h"
 #include "prob/memo_cache.h"
+#include "server/optimize_exec.h"
 #include "server/tcp_server.h"
 #include "server/token_bucket.h"
 
@@ -651,6 +653,39 @@ TEST(TcpServer, DrainTagsInFlightLongCommandsDegradedAndFlushesThem) {
   std::string extra;
   EXPECT_FALSE(client.ReadLine(&extra)) << extra;
   server.Stop();
+}
+
+TEST(OptimizeExecutor, StopAnswersEveryQueuedJobInOrder) {
+  engine::BatchEngine engine(engine::EngineOptions{});
+  engine.StartAsync();
+  TenantGovernor governor(/*qps=*/0.0, /*burst=*/0.0);
+  OptimizeExecutor executor(engine, governor);
+  executor.Start();
+  // Malformed jobs are answered without solving. Stop() right after the
+  // submits may find them queued or running, and must answer each one.
+  std::mutex mutex;
+  std::vector<std::string> responses;
+  for (int id = 1; id <= 3; ++id) {
+    executor.Submit(
+        *FindLongCommand("optimize"),
+        engine::ReadInputLine(R"({"cmd":"optimize","id":)" +
+                                  std::to_string(id) + R"(,"bogus":1})",
+                              id, /*too_long=*/false),
+        nullptr, [&](std::string response) {
+          std::lock_guard<std::mutex> lock(mutex);
+          responses.push_back(std::move(response));
+        });
+  }
+  executor.Stop();  // no wait first: Stop itself drains
+  ASSERT_EQ(responses.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(IdOf(responses[i]), i + 1);
+    EXPECT_NE(responses[i].find("unknown key"), std::string::npos)
+        << responses[i];
+  }
+  const JsonValue status = executor.StatuszJson();
+  EXPECT_EQ(status.Find("jobs_total")->AsDouble(), 3.0);
+  EXPECT_EQ(status.Find("queue_depth")->AsDouble(), 0.0);
 }
 
 TEST(TokenBucket, RefillsAtTheConfiguredRate) {
