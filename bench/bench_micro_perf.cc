@@ -1,9 +1,9 @@
 // Micro performance suite (google-benchmark): regression guard for the
 // hot paths — geometry decomposition, stage pmf construction, the full
-// M-S analysis, the memo-cache hit/key paths, ParallelFor dispatch, one
-// Monte-Carlo trial, gating and track fitting, JSON number formatting,
-// response rendering and the result-cache key. Not a paper experiment;
-// keeps the library honest as it evolves.
+// M-S analysis, a whole cold analyze, the memo-cache hit/key paths,
+// ParallelFor dispatch, one Monte-Carlo trial, gating and track fitting,
+// JSON number formatting, response rendering and the result-cache key. Not
+// a paper experiment; keeps the library honest as it evolves.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -133,6 +133,23 @@ void BM_FullMsAnalysisMemoHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullMsAnalysisMemoHit);
+
+// One whole cold `analyze`: the M-S solve, both exact tails, the caps the
+// 99% target needs and the cost models. Not gated; it shows how each part
+// scales with N.
+void BM_AnalyzeScenario(benchmark::State& state) {
+  const ScopedMemoOff memo_off;
+  const SystemParams p = Onr(static_cast<int>(state.range(0)), 10.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        AnalyzeScenario(p, MsApproachOptions{}).exact_detection_probability);
+  }
+}
+BENCHMARK(BM_AnalyzeScenario)
+    ->Arg(240)
+    ->Arg(2400)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SingleTrial(benchmark::State& state) {
   TrialConfig config;

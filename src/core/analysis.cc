@@ -23,10 +23,9 @@ ScenarioReport AnalyzeScenario(const SystemParams& params,
   report.predicted_accuracy = normalized.predicted_accuracy;
   report.ms_states = normalized.num_states;
 
-  MsApproachOptions raw = options;
-  raw.normalize = false;
+  // The raw (un-normalized) answer is the same tail before Eq. 13's division.
   report.unnormalized_detection_probability =
-      MsApproachAnalyze(params, raw).detection_probability;
+      normalized.report_distribution.TailSum(params.threshold_reports);
 
   report.exact_detection_probability = SApproachExactDetectionProbability(
       params, -1, options.node_reliability);

@@ -100,18 +100,16 @@ Pmf ConditionalSensorReportPmf(const std::vector<double>& areas, double pd) {
 
 namespace {
 
-Pmf ComputeExactRegionReportPmf(int num_nodes, double field_area,
-                                const std::vector<double>& areas, double pd,
-                                double node_reliability) {
-  SPARSEDET_REQUIRE(num_nodes >= 0, "node count must be >= 0");
+// Per-sensor unconditional pmf: outside the region with probability
+// 1 - total/S (zero reports), otherwise in subarea i with probability
+// areas[i]/S generating Binomial(i+1, pd) reports; then thinned by the
+// node's reliability.
+Pmf ThinnedSensorReportPmf(double field_area, const std::vector<double>& areas,
+                           double pd, double node_reliability) {
   SPARSEDET_REQUIRE(field_area > 0.0, "field area must be positive");
   SPARSEDET_REQUIRE(node_reliability >= 0.0 && node_reliability <= 1.0,
                     "node reliability must be in [0, 1]");
   const double total = CheckAreas(areas, field_area, pd);
-
-  // Per-sensor unconditional pmf: outside the region with probability
-  // 1 - total/S (zero reports), otherwise in subarea i with probability
-  // areas[i]/S generating Binomial(i+1, pd) reports.
   const int max_periods = static_cast<int>(areas.size());
   const simd::Kernels& kern = simd::Active();
   std::vector<double> per(static_cast<std::size_t>(max_periods) + 1, 0.0);
@@ -122,7 +120,18 @@ Pmf ComputeExactRegionReportPmf(int num_nodes, double field_area,
     const std::vector<double> row = BinomialPmfVector(periods, pd);
     kern.axpy(weight, row.data(), per.data(), row.size());
   }
-  return Pmf(per).ThinnedBy(node_reliability).ConvolvePower(num_nodes);
+  return Pmf(std::move(per)).ThinnedBy(node_reliability);
+}
+
+Pmf ComputeExactRegionReportPmf(int num_nodes, double field_area,
+                                const std::vector<double>& areas, double pd,
+                                double node_reliability, int max_reports) {
+  SPARSEDET_REQUIRE(num_nodes >= 0, "node count must be >= 0");
+  const Pmf per =
+      ThinnedSensorReportPmf(field_area, areas, pd, node_reliability);
+  return max_reports < 0
+             ? per.ConvolvePower(num_nodes)
+             : per.ConvolvePower(num_nodes, max_reports, /*saturate=*/true);
 }
 
 // The convolution chain below accumulates strictly in n order; it stays
@@ -182,22 +191,22 @@ Pmf ComputeCappedRegionReportPmf(int num_nodes, double field_area,
 
 Pmf ExactRegionReportPmf(int num_nodes, double field_area,
                          const std::vector<double>& areas, double pd,
-                         double node_reliability) {
+                         double node_reliability, int max_reports) {
   // With the cache disabled (capacity 0: cold benchmarks, memo-off runs)
   // a lookup can never hit, so key construction and shard locking are
   // pure overhead on the solve hot path — compute directly.
   if (prob::MemoCache::Global().capacity() == 0) {
     return ComputeExactRegionReportPmf(num_nodes, field_area, areas, pd,
-                                       node_reliability);
+                                       node_reliability, max_reports);
   }
   prob::MemoKey key =
       RegionKey("core/exact_region_pmf", num_nodes, field_area, areas, pd);
-  key.AddDouble(node_reliability);
+  key.AddDouble(node_reliability).AddInt(max_reports);
   return *prob::MemoCache::Global().GetOrCompute<Pmf>(
       key,
       [&] {
         return ComputeExactRegionReportPmf(num_nodes, field_area, areas, pd,
-                                           node_reliability);
+                                           node_reliability, max_reports);
       },
       PmfHeapBytes);
 }
@@ -335,12 +344,20 @@ Pmf CappedRegionReportPmfLiteral(int num_nodes, double field_area,
       PmfHeapBytes);
 }
 
-double RegionCapAccuracy(int num_nodes, double field_area, double region_area,
-                         int cap) {
+namespace {
+
+void CheckRegionArea(int num_nodes, double field_area, double region_area) {
   SPARSEDET_REQUIRE(num_nodes >= 0, "node count must be >= 0");
   SPARSEDET_REQUIRE(field_area > 0.0 && region_area > 0.0 &&
                         region_area <= field_area * (1.0 + 1e-9),
                     "region area must be in (0, field area]");
+}
+
+}  // namespace
+
+double RegionCapAccuracy(int num_nodes, double field_area, double region_area,
+                         int cap) {
+  CheckRegionArea(num_nodes, field_area, region_area);
   return BinomialCdf(num_nodes, cap, region_area / field_area);
 }
 
@@ -348,11 +365,23 @@ int RequiredRegionCap(int num_nodes, double field_area, double region_area,
                       double accuracy) {
   SPARSEDET_REQUIRE(accuracy > 0.0 && accuracy <= 1.0,
                     "accuracy must be in (0, 1]");
+  if (num_nodes <= 0) return num_nodes;  // no cap to try, nothing to check
+  CheckRegionArea(num_nodes, field_area, region_area);
+  // Up to N/2, BinomialCdf sums the lower tail from 0.0 in ascending i, so
+  // one running sum repeats its additions bit for bit and the scan costs
+  // O(cap) pmf terms instead of O(cap^2). Above N/2 it sums the upper tail
+  // instead, so those caps still ask it.
+  const double p = region_area / field_area;
+  double lower_tail = 0.0;
   for (int cap = 0; cap < num_nodes; ++cap) {
-    if (RegionCapAccuracy(num_nodes, field_area, region_area, cap) >=
-        accuracy) {
-      return cap;
+    double reached;
+    if (cap <= num_nodes / 2) {
+      lower_tail += BinomialPmf(num_nodes, cap, p);
+      reached = std::min(lower_tail, 1.0);
+    } else {
+      reached = RegionCapAccuracy(num_nodes, field_area, region_area, cap);
     }
+    if (reached >= accuracy) return cap;
   }
   return num_nodes;
 }

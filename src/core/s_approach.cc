@@ -110,7 +110,16 @@ Pmf SApproachExactDistribution(const SystemParams& params,
 double SApproachExactDetectionProbability(const SystemParams& params, int k,
                                           double node_reliability) {
   if (k < 0) k = params.threshold_reports;
-  return SApproachExactDistribution(params, node_reliability).TailSum(k);
+  const std::vector<double> regions = SRegions(params);
+  obs::ObsTimer timer(obs::Phase::kSEnumeration);
+  const Pmf cut =
+      ExactRegionReportPmf(params.num_nodes, params.FieldArea(), regions,
+                           params.detect_prob, node_reliability,
+                           /*max_reports=*/k);
+  // The per-sensor pmf sums to 1 + eps, and every bin of its N-th power
+  // carries (1 + eps)^N; dividing by the cut pmf's own total cancels that
+  // factor, and a non-negative bin over a sum containing it is <= 1.
+  return cut[static_cast<std::size_t>(k)] / cut.TotalMass();
 }
 
 int SApproachRequiredCap(const SystemParams& params, double accuracy) {

@@ -46,7 +46,9 @@ SApproachResult SApproachAnalyze(const SystemParams& params,
 Pmf SApproachExactDistribution(const SystemParams& params,
                                double node_reliability = 1.0);
 
-// P_M[X >= k] from the exact distribution.
+// P_M[X >= k] from the exact distribution, read from its saturated power
+// cut at k + 1 bins and divided by that cut pmf's total, so the result
+// lies in [0, 1]. Costs O(k^2 log N).
 double SApproachExactDetectionProbability(const SystemParams& params,
                                           int k = -1,
                                           double node_reliability = 1.0);

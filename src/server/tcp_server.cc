@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -501,7 +502,8 @@ void TcpServer::FlushConn(const std::shared_ptr<Conn>& conn) {
 void TcpServer::UpdateWriteInterest(const std::shared_ptr<Conn>& conn,
                                     bool want_write) {
   epoll_event ev{};
-  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0);
+  ev.events =
+      EPOLLIN | (want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
   ev.data.fd = conn->fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
   conn->want_write = want_write;

@@ -1,8 +1,12 @@
 #include "core/region_pmf.h"
 
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "prob/binomial.h"
 
 namespace sparsedet {
@@ -44,6 +48,58 @@ TEST(ExactRegionReportPmf, IsProperDistribution) {
 TEST(ExactRegionReportPmf, ZeroNodesIsDeltaZero) {
   const Pmf pmf = ExactRegionReportPmf(0, kFieldArea, kAreas, kPd);
   EXPECT_DOUBLE_EQ(pmf[0], 1.0);
+}
+
+// The cut pmf (max_reports = k) keeps at most k + 1 bins, with P[X >= k]
+// in the top one; the served exact tail is cut[k] / cut.TotalMass().
+TEST(ExactRegionReportPmf, CutWithZeroNodesHasNoTail) {
+  for (int k = 1; k <= 5; ++k) {
+    const Pmf cut = ExactRegionReportPmf(0, kFieldArea, kAreas, kPd, 1.0, k);
+    EXPECT_EQ(cut.size(), 1u) << "k = " << k;
+    EXPECT_EQ(cut[k], 0.0) << "k = " << k;
+    EXPECT_EQ(cut.TotalMass(), 1.0) << "k = " << k;
+  }
+}
+
+TEST(ExactRegionReportPmf, CutAboveTheLargestCountHasNoTail) {
+  // Four sensors report at most 4 * 3 = 12 times: a cut above that never
+  // saturates, so it is the full pmf bit for bit.
+  const Pmf full = ExactRegionReportPmf(4, kFieldArea, kAreas, kPd);
+  for (int k : {13, 20}) {
+    const Pmf cut = ExactRegionReportPmf(4, kFieldArea, kAreas, kPd, 1.0, k);
+    EXPECT_EQ(cut.mass(), full.mass()) << "k = " << k;
+    EXPECT_EQ(cut[k], 0.0) << "k = " << k;
+  }
+}
+
+TEST(ExactRegionReportPmf, CutAtZeroIsOneBinAndTailOne) {
+  const Pmf cut = ExactRegionReportPmf(500, kFieldArea, kAreas, kPd, 1.0, 0);
+  EXPECT_EQ(cut.size(), 1u);
+  EXPECT_EQ(cut[0] / cut.TotalMass(), 1.0);
+}
+
+TEST(ExactRegionReportPmf, CutWithDeadNodesHasNoTail) {
+  for (int k = 1; k <= 4; ++k) {
+    const Pmf cut = ExactRegionReportPmf(80, kFieldArea, kAreas, kPd, 0.0, k);
+    EXPECT_EQ(cut[k], 0.0) << "k = " << k;
+    EXPECT_GT(cut.TotalMass(), 0.0) << "k = " << k;
+  }
+}
+
+TEST(ExactRegionReportPmf, CutAtReliabilityOneMatchesTheDefaultFullPmf) {
+  const int n = 300;
+  const Pmf full = ExactRegionReportPmf(n, kFieldArea, kAreas, kPd);
+  for (int k = 1; k <= 8; ++k) {
+    const Pmf cut = ExactRegionReportPmf(n, kFieldArea, kAreas, kPd, 1.0, k);
+    ASSERT_EQ(cut.size(), static_cast<std::size_t>(k) + 1) << "k = " << k;
+    const double expected = full.TailSum(k) / full.TotalMass();
+    EXPECT_NEAR(cut[k] / cut.TotalMass(), expected, 1e-13 * expected)
+        << "k = " << k;
+    for (int m = 0; m < k; ++m) {
+      EXPECT_NEAR(cut[m], full[m], 1e-13 * full[m]) << "k = " << k
+                                                    << " m = " << m;
+    }
+  }
 }
 
 TEST(ExactRegionReportPmf, MeanMatchesClosedForm) {
@@ -126,6 +182,55 @@ TEST(RequiredRegionCap, GrowsWithNodeCountAndRegionSize) {
   const int large_area = RequiredRegionCap(50, kFieldArea, 4000.0, 0.999);
   EXPECT_GE(large_n, small);
   EXPECT_GE(large_area, small);
+}
+
+// The scan RequiredRegionCap replaced: one BinomialCdf per cap.
+int ScanRequiredRegionCap(int num_nodes, double field_area,
+                          double region_area, double accuracy) {
+  for (int cap = 0; cap < num_nodes; ++cap) {
+    if (RegionCapAccuracy(num_nodes, field_area, region_area, cap) >=
+        accuracy) {
+      return cap;
+    }
+  }
+  return num_nodes;
+}
+
+TEST(RequiredRegionCap, MatchesThePerCapScanExactly) {
+  Rng rng(20260418);
+  for (int trial = 0; trial < 160; ++trial) {
+    // Node counts spread log-uniformly over 1..5000 plus the edges; a third
+    // of the regions cover more than half the field, so the scan crosses
+    // N/2 into BinomialCdf's upper-tail branch.
+    int n = static_cast<int>(std::exp(rng.Uniform(0.0, std::log(5001.0))));
+    if (trial < 4) n = std::vector<int>{0, 1, 2, 5000}[trial];
+    const double fraction = trial % 3 == 0 ? rng.Uniform(0.5, 1.0)
+                                           : std::exp(rng.Uniform(-9.0, 0.0));
+    const double region = fraction * kFieldArea;
+    double accuracy = rng.Uniform(0.5, 1.0);
+    if (trial % 7 == 0) accuracy = 1.0;
+    if (trial % 7 == 1) accuracy = 1.0 - 1e-12;
+    EXPECT_EQ(RequiredRegionCap(n, kFieldArea, region, accuracy),
+              ScanRequiredRegionCap(n, kFieldArea, region, accuracy))
+        << "N = " << n << " fraction = " << fraction
+        << " accuracy = " << accuracy;
+  }
+}
+
+TEST(RequiredRegionCap, ValidatesLikeThePerCapScan) {
+  // No node: the scan never ran, so the area is not checked.
+  EXPECT_EQ(RequiredRegionCap(0, kFieldArea, 2.0 * kFieldArea, 0.9), 0);
+  EXPECT_THROW(RequiredRegionCap(10, kFieldArea, 2.0 * kFieldArea, 0.9),
+               InvalidArgument);
+  EXPECT_THROW(RequiredRegionCap(10, kFieldArea, 0.0, 0.9), InvalidArgument);
+  // Inside the area check's 1e-9 slack, but p > 1 for the binomial.
+  EXPECT_THROW(RequiredRegionCap(10, kFieldArea, kFieldArea * (1.0 + 1e-10),
+                                 0.9),
+               InvalidArgument);
+  EXPECT_THROW(RequiredRegionCap(10, kFieldArea, 600.0, 0.0),
+               InvalidArgument);
+  EXPECT_THROW(RequiredRegionCap(10, kFieldArea, 600.0, 1.5),
+               InvalidArgument);
 }
 
 TEST(ConditionalSensorJointPmf, NodeFlagTracksPositiveReports) {

@@ -118,11 +118,23 @@ TEST(SApproach, ExactAgreesWithMsExactStageProduct) {
 }
 
 TEST(SApproach, InstantaneousProbabilityViaK1) {
+  // From N = 2400 on, the N-th power of a per-sensor pmf summing to 1 + eps
+  // lifts the full pmf's tails above 1; the served tails stay in [0, 1].
+  for (int nodes : {140, 2400, 20000, 100000}) {
+    const SystemParams p = Onr(nodes, 10.0);
+    const double k1 = SApproachExactDetectionProbability(p, 1);
+    const double k5 = SApproachExactDetectionProbability(p, 5);
+    EXPECT_GE(k1, k5) << "N = " << nodes;
+    EXPECT_LE(k1, 1.0) << "N = " << nodes;
+    EXPECT_LE(k5, 1.0) << "N = " << nodes;
+    EXPECT_GE(k5, 0.0) << "N = " << nodes;
+  }
   const SystemParams p = Onr(140, 10.0);
-  const double k1 = SApproachExactDetectionProbability(p, 1);
-  const double k5 = SApproachExactDetectionProbability(p, 5);
-  EXPECT_GT(k1, k5);
-  EXPECT_LE(k1, 1.0);
+  EXPECT_GT(SApproachExactDetectionProbability(p, 1),
+            SApproachExactDetectionProbability(p, 5));
+  EXPECT_EQ(SApproachExactDetectionProbability(p, 0), 1.0);
+  EXPECT_EQ(SApproachExactDetectionProbability(p, 5, 1.0),
+            SApproachExactDetectionProbability(p, 5));
 }
 
 TEST(SApproach, CostModelMatchesPaperExample) {

@@ -214,6 +214,10 @@ TEST_F(DeterminismTest, SApproachMemoIsByteStable) {
   std::string warm;
   AppendBits(warm, SApproachExactDetectionProbability(p));
   EXPECT_EQ(warm, cold);
+  prob::MemoCache::Global().SetCapacity(0);
+  std::string off;
+  AppendBits(off, SApproachExactDetectionProbability(p));
+  EXPECT_EQ(off, cold);
 }
 
 }  // namespace

@@ -146,6 +146,10 @@ TEST(EndToEndExtras, ScenarioReportInternallyConsistent) {
               MsApproachAnalyze(p).detection_probability, 1e-12);
   EXPECT_NEAR(report.exact_detection_probability,
               SApproachExactDetectionProbability(p), 1e-12);
+  MsApproachOptions raw;
+  raw.normalize = false;
+  EXPECT_EQ(report.unnormalized_detection_probability,
+            MsApproachAnalyze(p, raw).detection_probability);
   EXPECT_LT(report.unnormalized_detection_probability,
             report.detection_probability);
   EXPECT_GT(report.instantaneous_detection, report.detection_probability);

@@ -4,12 +4,14 @@
 // runs the property on a distinct random instance.
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/ms_approach.h"
 #include "core/region_pmf.h"
+#include "core/s_approach.h"
 #include "geometry/field.h"
 #include "geometry/region_decomposition.h"
 #include "net/routing.h"
@@ -254,6 +256,31 @@ TEST_P(ModelLaws, ExactRegionPmfMassIsOneTo1e12) {
   EXPECT_NEAR(
       ExactRegionReportPmf(n, field, d.area_h(), pd, reliability).TotalMass(),
       1.0, 1e-12);
+}
+
+TEST_P(ModelLaws, ExactTailMatchesTheFullPmfAndStaysInUnitInterval) {
+  // The served exact tail reads P[X >= k] from the power cut at k + 1
+  // bins; the full N * r + 1 bin pmf is the reference it must match.
+  Rng rng(GetParam() * 15485863u);
+  for (int i = 0; i < 20; ++i) {
+    SystemParams p = SystemParams::OnrDefaults();
+    p.num_nodes = 1 + static_cast<int>(rng.UniformInt(3000));
+    p.detect_prob = rng.Uniform(0.05, 1.0);
+    const int k = 1 + static_cast<int>(rng.UniformInt(12));
+    const double reliability = rng.Uniform(0.3, 1.0);
+    const double tail = SApproachExactDetectionProbability(p, k, reliability);
+    const Pmf full = SApproachExactDistribution(p, reliability);
+    const double raw = full.TailSum(k);
+    const double normalized = raw / full.TotalMass();
+    const std::string where = "N = " + std::to_string(p.num_nodes) +
+                              " k = " + std::to_string(k);
+    EXPECT_GE(tail, 0.0) << where;
+    EXPECT_LE(tail, 1.0) << where;
+    EXPECT_NEAR(tail, normalized, 1e-13 * normalized) << where;
+    if (raw <= 1.0) {
+      EXPECT_NEAR(tail, raw, 1e-12) << where;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelLaws, ::testing::Range(1, 13));
