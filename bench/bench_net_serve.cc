@@ -2,15 +2,9 @@
 // Drives the epoll front-end (src/server/) end to end from real client
 // sockets: 32 connections, each pipelining windows of analyze requests,
 // 100k+ requests total. Measures sustained throughput and per-request
-// latency quantiles, then verifies the two serving guarantees that make
-// the TCP path trustworthy:
-//
-//   * byte-identity — the concatenated per-connection response streams
-//     must equal what the stdio `serve` loop emits for the same lines, so
-//     the transport adds no observable behavior;
-//   * snapshot warm-start — after a drain (which persists the memo-cache
-//     snapshot) and a full memo Clear(), a restarted server must answer a
-//     first batch of repeat scenarios with zero memo misses.
+// latency quantiles, then verifies byte-identity: the concatenated
+// per-connection response streams must equal what the stdio `serve` loop
+// emits for the same lines, so the transport adds no observable behavior.
 //
 // Phase 1 also scrapes the out-of-band admin plane (/metrics, /healthz,
 // /statusz, /tracez) continuously while the data plane is saturated;
@@ -18,7 +12,7 @@
 // carry the server latency split and the SLO burn-rate gauges.
 //
 // Output ends with one "BENCH_JSON {...}" line (throughput, p50/p99,
-// identity + warm-start + admin-scrape verdicts) that CI collects into
+// identity + admin-scrape verdicts) that CI collects into
 // the perf-trajectory artifact. Exits non-zero when any guarantee fails.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -29,7 +23,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -185,8 +178,7 @@ int main(int argc, char** argv) {
       "E28", "TCP serve-mode throughput",
       "32 pipelined client connections drive 100k+ analyze requests\n"
       "through the epoll TCP front-end; verifies byte-identity against\n"
-      "the stdio serve loop and zero-miss warm start from the memo-cache\n"
-      "snapshot written at drain.");
+      "the stdio serve loop.");
 
   // CI's sanitizer smoke lowers the request count; the default exercises
   // the 100k+ acceptance bar.
@@ -194,8 +186,6 @@ int main(int argc, char** argv) {
   if (const char* env = std::getenv("SPARSEDET_BENCH_NET_REQUESTS")) {
     per_conn = std::max(kScenarios, std::atoi(env) / kConnections);
   }
-  const std::string snapshot_path = "bench_net_serve_memo.snap";
-  std::remove(snapshot_path.c_str());
 
   // Per-connection request lines: ids are globally unique, scenarios cycle
   // through a shared pool so the result cache carries the steady state.
@@ -216,7 +206,6 @@ int main(int argc, char** argv) {
   // --- Phase 1: cold serve under concurrent pipelined load, with the
   // admin plane scraped out-of-band the whole time. ----------------------
   server::TcpServerOptions sopts;
-  sopts.memo_snapshot_path = snapshot_path;
   sopts.max_connections = kConnections + 4;
   sopts.admin_port = 0;
   double seconds = 0.0;
@@ -264,7 +253,7 @@ int main(int argc, char** argv) {
 
     stop_scraper.store(true, std::memory_order_relaxed);
     scraper.join();
-    server.RequestDrain();  // drains in-flight work, writes the snapshot
+    server.RequestDrain();  // drains in-flight work
     loop.join();
   }
   if (admin_scrapes == 0 || admin_scrape_failures != 0) {
@@ -310,44 +299,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Phase 3: warm start from the drain-time snapshot. ----------------
-  const prob::MemoCacheStats cold_stats = prob::MemoCache::Global().Stats();
-  prob::MemoCache::Global().Clear();
-  std::uint64_t warm_misses = ~0ull;
-  std::uint64_t restored = 0;
-  double warm_seconds = 0.0;
-  {
-    engine::BatchEngine batch_engine(MakeEngineOptions());
-    server::TcpServer server(batch_engine, sopts);
-    server.Start();  // loads the snapshot written by phase 1's drain
-    std::thread loop([&] { server.Run(); });
-
-    const prob::MemoCacheStats before = prob::MemoCache::Global().Stats();
-    restored = before.restored;
-    std::vector<std::string> first_batch;
-    for (int s = 0; s < kScenarios; ++s) {
-      first_batch.push_back(MakeLine(9000000 + s, s));
-    }
-    ClientResult warm;
-    Stopwatch watch;
-    RunClient(server.port(), first_batch, &warm);
-    warm_seconds = bench::LapSeconds(watch);
-    const prob::MemoCacheStats after = prob::MemoCache::Global().Stats();
-    server.RequestDrain();
-    loop.join();
-    if (!warm.ok) {
-      std::cerr << "FAIL: warm-start client died\n";
-      return 1;
-    }
-    warm_misses = after.misses - before.misses;
-    if (warm_misses != 0) {
-      std::cerr << "FAIL: warm start from snapshot took " << warm_misses
-                << " memo misses (want 0)\n";
-    }
-  }
-  std::remove(snapshot_path.c_str());
-  std::remove((snapshot_path + ".tmp").c_str());
-
   Table table({"phase", "requests", "seconds", "req/s", "p50 us", "p99 us"});
   table.BeginRow();
   table.AddCell("cold serve (32 conns)");
@@ -356,13 +307,6 @@ int main(int argc, char** argv) {
   table.AddNumber(throughput, 0);
   table.AddNumber(p50_us, 1);
   table.AddNumber(p99_us, 1);
-  table.BeginRow();
-  table.AddCell("warm first batch");
-  table.AddInt(kScenarios);
-  table.AddNumber(warm_seconds, 4);
-  table.AddNumber(static_cast<double>(kScenarios) / warm_seconds, 0);
-  table.AddCell("-");
-  table.AddCell("-");
   bench::Emit(table, argc, argv);
 
   JsonValue bench_json = JsonValue::Object();
@@ -378,14 +322,10 @@ int main(int argc, char** argv) {
       .Set("admin_scrape_failures",
            static_cast<std::int64_t>(admin_scrape_failures))
       .Set("memo_entries_after_cold",
-           static_cast<std::int64_t>(cold_stats.entries))
-      .Set("snapshot_restored_entries", static_cast<std::int64_t>(restored))
-      .Set("warm_first_batch_misses", static_cast<std::int64_t>(warm_misses))
-      .Set("warm_first_batch_seconds", warm_seconds);
+           static_cast<std::int64_t>(
+               prob::MemoCache::Global().Stats().entries));
   std::cout << "BENCH_JSON " << bench_json.ToString() << "\n";
 
-  return (identical && warm_misses == 0 && admin_scrapes > 0 &&
-          admin_scrape_failures == 0)
-             ? 0
-             : 1;
+  const bool ok = identical && admin_scrapes > 0 && admin_scrape_failures == 0;
+  return ok ? 0 : 1;
 }

@@ -27,8 +27,6 @@
 #include "opt/backend.h"
 #include "opt/optimizer.h"
 #include "opt/spec.h"
-#include "prob/memo_cache.h"
-#include "prob/memo_snapshot.h"
 #include "obs/metrics.h"
 #include "sim/trace_io.h"
 #include "detect/system_fa.h"
@@ -184,7 +182,6 @@ struct SpecRunFlags {
   std::vector<std::string> spec_flags;  // provided spec-building flags
   std::string spec_path;
   int deadline_ms = 0;
-  std::string memo_snapshot;
   engine::EngineOptions options;
 };
 
@@ -196,9 +193,6 @@ SpecRunFlags ParseSpecRunFlags(FlagParser& flags, const std::string& command) {
   run.deadline_ms = flags.GetInt(
       "deadline-ms", 0,
       "wall-clock budget; expiry yields a degraded partial result");
-  run.memo_snapshot = flags.GetString(
-      "memo-snapshot", "",
-      "memo-cache snapshot file: load before the run, save after");
   run.options = ParseEngineOptions(flags);
   flags.Finish();
   return run;
@@ -208,11 +202,10 @@ SpecRunFlags ParseSpecRunFlags(FlagParser& flags, const std::string& command) {
 // conflicts with every spec-building flag (only --deadline-ms may override
 // it), or from the flags, re-parsed through the canonical JSON so both
 // paths get exactly the file-spec validation.
-// `solve` runs on a private engine behind a SyncEngineBackend, with the
-// memo snapshot (if any) loaded before and saved after, and the result is
-// printed rows-then-summary. Degraded (deadline) partials exit 0 — the
-// result says so; a run that finished with its `goal_key` false or 0 (no
-// feasible candidate, floor not held) exits 1.
+// `solve` runs on a private engine behind a SyncEngineBackend, and the
+// result is printed rows-then-summary. Degraded (deadline) partials exit
+// 0 — the result says so; a run that finished with its `goal_key` false or
+// 0 (no feasible candidate, floor not held) exits 1.
 template <typename Spec>
 int RunSpecCommand(
     const FlagParser& flags, const SpecRunFlags& run, Spec spec,
@@ -241,21 +234,11 @@ int RunSpecCommand(
     parsed = parse(to_json(spec));
   }
 
-  if (!run.memo_snapshot.empty()) {
-    try {
-      prob::LoadMemoSnapshot(prob::MemoCache::Global(), run.memo_snapshot);
-    } catch (const Error&) {
-      // A missing or stale snapshot is a cold start, not a failure.
-    }
-  }
   engine::BatchEngine batch_engine(run.options);
   opt::SyncEngineBackend backend(batch_engine);
   const JsonValue result = solve(parsed, backend, &batch_engine.registry());
   opt::WriteRowsThenSummary(result, rows_key, out);
   out.flush();
-  if (!run.memo_snapshot.empty()) {
-    prob::SaveMemoSnapshot(prob::MemoCache::Global(), run.memo_snapshot);
-  }
 
   const JsonValue* goal = result.Find(goal_key);
   const JsonValue* degraded = result.Find("degraded");
@@ -826,9 +809,6 @@ int CmdServeTcp(const std::vector<std::string>& args, std::ostream& out,
         "per-tenant token-bucket burst (0 = max(1, tenant-qps))");
     sopts.idle_timeout_ms = flags.GetInt(
         "idle-timeout-ms", 0, "close silent connections after this (0 = off)");
-    sopts.memo_snapshot_path = flags.GetString(
-        "memo-snapshot", "",
-        "memo-cache snapshot file: load on start, save on drain");
     sopts.admin_port = flags.GetInt(
         "admin-port", -1,
         "admin HTTP port for /metrics /healthz /statusz /tracez "
@@ -965,19 +945,19 @@ std::string Usage() {
       "optimize: --spec <file> | (--objective --mode --min-detection --pf\n"
       "  --max-fa --min-lifetime-days --search-nodes/k/window/period/duty\n"
       "  (from:to[:step]) --battery --sense-cost --idle-cost --tx-cost\n"
-      "  --rx-cost --hops --refine-rounds) [--deadline-ms --memo-snapshot\n"
-      "  + engine flags] (docs/OPTIMIZER.md)\n"
+      "  --rx-cost --hops --refine-rounds) [--deadline-ms + engine flags]\n"
+      "  (docs/OPTIMIZER.md)\n"
       "adapt: --spec <file> | (--mode analyze|closed_loop --failure-model\n"
       "  exponential|weibull --mean-lifetime-s --shape --report-loss\n"
       "  --horizon-epochs --epoch-periods --min-detection --pf --max-fa\n"
       "  --search-k/window (from:to[:step]) --margin --min-dwell\n"
       "  --estimator oracle|reports --estimator-windows --estimator-z\n"
-      "  --seed --trials) [--deadline-ms --memo-snapshot + engine flags]\n"
+      "  --seed --trials) [--deadline-ms + engine flags]\n"
       "  (docs/RESILIENCE.md)\n"
       "serve: --threads --solver-threads --cache-capacity "
       "--memo-cache-entries --stats --trace --trace-file\n"
       "serve-tcp: serve flags plus --host --port --max-connections\n"
-      "  --tenant-qps --tenant-burst --idle-timeout-ms --memo-snapshot\n"
+      "  --tenant-qps --tenant-burst --idle-timeout-ms\n"
       "  --admin-port --admin-host (HTTP /metrics /healthz /statusz "
       "/tracez)\n"
       "  --log-file --log-level --log-rate-limit (structured JSONL log)\n"

@@ -15,8 +15,8 @@
 //                       --min-detection ...]   self-healing k/M retune loop
 //   sparsedet serve    [--threads --cache-capacity --trace ...]  JSONL loop
 //   sparsedet serve-tcp [serve flags --host --port --max-connections
-//                       --tenant-qps --tenant-burst --idle-timeout-ms
-//                       --memo-snapshot]           concurrent TCP server
+//                       --tenant-qps --tenant-burst --idle-timeout-ms]
+//                                                  concurrent TCP server
 //   sparsedet metrics-dump --input <file|-> [--format table|prometheus|json]
 //
 // Each command returns a process exit code and writes to `out` / `err`, so

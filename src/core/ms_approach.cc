@@ -7,14 +7,12 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/error.h"
 #include "core/region_pmf.h"
 #include "geometry/region_decomposition.h"
 #include "markov/chain.h"
 #include "markov/increment_chain.h"
 #include "obs/timer.h"
 #include "prob/memo_cache.h"
-#include "prob/memo_snapshot.h"
 #include "resilience/cancel.h"
 
 namespace sparsedet {
@@ -38,61 +36,6 @@ std::size_t MsSolveCoreHeapBytes(const MsSolveCore& core) {
   for (const Pmf& tail : core.tail_pmfs) bytes += tail.size() * sizeof(double);
   return bytes;
 }
-
-// Snapshot codec: each stage pmf mass vector bit-exact, tails prefixed by
-// their count.
-void EncodeStagePmf(std::string* out, const Pmf& pmf) {
-  prob::MemoAppendU64(out, pmf.size());
-  for (double m : pmf.mass()) prob::MemoAppendDouble(out, m);
-}
-
-Pmf DecodeStagePmf(prob::MemoDecoder* dec) {
-  const std::uint64_t n = dec->ReadU64();
-  if (n * 8 > dec->remaining()) {
-    throw Error("ms_solve_core codec: truncated pmf");
-  }
-  std::vector<double> mass(static_cast<std::size_t>(n));
-  for (double& m : mass) m = dec->ReadDouble();
-  return Pmf(std::move(mass));
-}
-
-const bool kMsSolveCoreCodecRegistered = [] {
-  prob::MemoCodec codec;
-  codec.encode = [](const void* value) {
-    const auto& core = *static_cast<const MsSolveCore*>(value);
-    std::string out;
-    EncodeStagePmf(&out, core.head_pmf);
-    EncodeStagePmf(&out, core.body_pmf);
-    prob::MemoAppendU64(&out, core.tail_pmfs.size());
-    for (const Pmf& tail : core.tail_pmfs) EncodeStagePmf(&out, tail);
-    EncodeStagePmf(&out, core.report_distribution);
-    return out;
-  };
-  codec.decode = [](std::string_view encoded,
-                    std::size_t* bytes) -> std::shared_ptr<const void> {
-    prob::MemoDecoder dec(encoded);
-    MsSolveCore core;
-    core.head_pmf = DecodeStagePmf(&dec);
-    core.body_pmf = DecodeStagePmf(&dec);
-    const std::uint64_t tails = dec.ReadU64();
-    if (tails > dec.remaining() / 8) {
-      throw Error("ms_solve_core codec: tail count too large");
-    }
-    core.tail_pmfs.reserve(static_cast<std::size_t>(tails));
-    for (std::uint64_t j = 0; j < tails; ++j) {
-      core.tail_pmfs.push_back(DecodeStagePmf(&dec));
-    }
-    core.report_distribution = DecodeStagePmf(&dec);
-    if (dec.remaining() != 0) {
-      throw Error("ms_solve_core codec: trailing bytes");
-    }
-    auto out = std::make_shared<const MsSolveCore>(std::move(core));
-    *bytes = sizeof(MsSolveCore) + MsSolveCoreHeapBytes(*out);
-    return out;
-  };
-  prob::RegisterMemoCodec("core/ms_solve_core", codec);
-  return true;
-}();
 
 RegionDecomposition Decompose(const SystemParams& params) {
   obs::ObsTimer timer(obs::Phase::kRegionDecomposition);

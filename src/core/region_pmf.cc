@@ -5,11 +5,9 @@
 
 #include "common/arena.h"
 #include "common/check.h"
-#include "common/error.h"
 #include "common/parallel.h"
 #include "prob/binomial.h"
 #include "prob/memo_cache.h"
-#include "prob/memo_snapshot.h"
 #include "resilience/cancel.h"
 #include "simd/simd.h"
 
@@ -31,39 +29,6 @@ prob::MemoKey RegionKey(std::string_view tag, int num_nodes, double field_area,
 }
 
 std::size_t PmfHeapBytes(const Pmf& pmf) { return pmf.size() * sizeof(double); }
-
-// Snapshot codec: a Pmf is exactly its mass vector, stored bit-exact, so a
-// restored entry is indistinguishable from a freshly computed one.
-std::string EncodePmf(const void* value) {
-  const Pmf& pmf = *static_cast<const Pmf*>(value);
-  std::string out;
-  prob::MemoAppendU64(&out, pmf.size());
-  for (double m : pmf.mass()) prob::MemoAppendDouble(&out, m);
-  return out;
-}
-
-std::shared_ptr<const void> DecodePmf(std::string_view encoded,
-                                      std::size_t* bytes) {
-  prob::MemoDecoder dec(encoded);
-  const std::uint64_t n = dec.ReadU64();
-  if (n * 8 != dec.remaining()) {
-    throw Error("pmf codec: length mismatch");
-  }
-  std::vector<double> mass(static_cast<std::size_t>(n));
-  for (double& m : mass) m = dec.ReadDouble();
-  auto pmf = std::make_shared<const Pmf>(std::move(mass));
-  // Mirror the charge GetOrCompute applies at the original insert site.
-  *bytes = sizeof(Pmf) + PmfHeapBytes(*pmf);
-  return pmf;
-}
-
-const bool kPmfCodecsRegistered = [] {
-  prob::MemoCodec codec{EncodePmf, DecodePmf};
-  prob::RegisterMemoCodec("core/exact_region_pmf", codec);
-  prob::RegisterMemoCodec("core/capped_region_pmf", codec);
-  prob::RegisterMemoCodec("core/capped_region_pmf_literal", codec);
-  return true;
-}();
 
 double CheckAreas(const std::vector<double>& areas, double field_area,
                   double pd) {
@@ -370,18 +335,24 @@ int RequiredRegionCap(int num_nodes, double field_area, double region_area,
   // Up to N/2, BinomialCdf sums the lower tail from 0.0 in ascending i, so
   // one running sum repeats its additions bit for bit and the scan costs
   // O(cap) pmf terms instead of O(cap^2). Above N/2 it sums the upper tail
-  // instead, so those caps still ask it.
+  // instead, so only it decides whether a cap passes. The running sum
+  // still approximates the same cdf from the same pmf terms: the two
+  // differ only by rounding in the pmf's total mass and in the two sums,
+  // which is far below kSkipSlack at any N this scan can finish. A cap
+  // whose running sum is short of accuracy - kSkipSlack therefore fails
+  // there too, and is skipped without its O(N) upper-tail sum.
+  constexpr double kSkipSlack = 1e-6;
   const double p = region_area / field_area;
   double lower_tail = 0.0;
   for (int cap = 0; cap < num_nodes; ++cap) {
-    double reached;
+    lower_tail += BinomialPmf(num_nodes, cap, p);
     if (cap <= num_nodes / 2) {
-      lower_tail += BinomialPmf(num_nodes, cap, p);
-      reached = std::min(lower_tail, 1.0);
-    } else {
-      reached = RegionCapAccuracy(num_nodes, field_area, region_area, cap);
+      if (std::min(lower_tail, 1.0) >= accuracy) return cap;
+    } else if (lower_tail >= accuracy - kSkipSlack &&
+               RegionCapAccuracy(num_nodes, field_area, region_area, cap) >=
+                   accuracy) {
+      return cap;
     }
-    if (reached >= accuracy) return cap;
   }
   return num_nodes;
 }

@@ -1,48 +1,16 @@
 #include "core/s_approach.h"
 
 #include <cmath>
-#include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/check.h"
-#include "common/error.h"
 #include "core/region_pmf.h"
 #include "geometry/region_decomposition.h"
 #include "obs/timer.h"
 #include "prob/memo_cache.h"
-#include "prob/memo_snapshot.h"
 
 namespace sparsedet {
 namespace {
-
-// Snapshot codec for the memoized subarea decomposition vector.
-const bool kSRegionsCodecRegistered = [] {
-  prob::MemoCodec codec;
-  codec.encode = [](const void* value) {
-    const auto& v = *static_cast<const std::vector<double>*>(value);
-    std::string out;
-    prob::MemoAppendU64(&out, v.size());
-    for (double a : v) prob::MemoAppendDouble(&out, a);
-    return out;
-  };
-  codec.decode = [](std::string_view encoded,
-                    std::size_t* bytes) -> std::shared_ptr<const void> {
-    prob::MemoDecoder dec(encoded);
-    const std::uint64_t n = dec.ReadU64();
-    if (n * 8 != dec.remaining()) {
-      throw Error("s_regions codec: length mismatch");
-    }
-    std::vector<double> v(static_cast<std::size_t>(n));
-    for (double& a : v) a = dec.ReadDouble();
-    auto out = std::make_shared<const std::vector<double>>(std::move(v));
-    *bytes = sizeof(std::vector<double>) + out->size() * sizeof(double);
-    return out;
-  };
-  prob::RegisterMemoCodec("core/s_regions", codec);
-  return true;
-}();
 
 // The subarea decomposition depends on four scalars only and repeats for
 // every sweep point that varies N, Pd, or k, so it is memoized

@@ -1,7 +1,6 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <string>
 #include <thread>
@@ -55,12 +54,6 @@ struct BatchEngine::PendingRequest {
 };
 
 namespace {
-
-std::int64_t NowUnixMillis() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 // Rough elementary-operation count for one unit — enough to split "tiny
 // analytical solve" from "heavy simulation or scaled-up scenario", not a
@@ -146,11 +139,7 @@ EngineMetrics::EngineMetrics(obs::MetricsRegistry& registry)
       memo_misses(&registry.gauge("solver_memo_misses")),
       memo_entries(&registry.gauge("solver_memo_entries")),
       memo_bytes(&registry.gauge("solver_memo_bytes")),
-      memo_evictions(&registry.gauge("solver_memo_evictions")),
-      memo_restored(&registry.gauge("solver_memo_restored")),
-      memo_snapshot_entries(&registry.gauge("solver_memo_snapshot_entries")),
-      memo_snapshot_bytes(&registry.gauge("solver_memo_snapshot_bytes")),
-      memo_snapshot_age_ms(&registry.gauge("solver_memo_snapshot_age_ms")) {}
+      memo_evictions(&registry.gauge("solver_memo_evictions")) {}
 
 BatchEngine::BatchEngine(const EngineOptions& options)
     : options_(options),
@@ -204,15 +193,6 @@ obs::RegistrySnapshot BatchEngine::MetricsSnapshot() const {
   metrics_.memo_entries->Set(static_cast<std::int64_t>(memo.entries));
   metrics_.memo_bytes->Set(static_cast<std::int64_t>(memo.bytes));
   metrics_.memo_evictions->Set(static_cast<std::int64_t>(memo.evictions));
-  metrics_.memo_restored->Set(static_cast<std::int64_t>(memo.restored));
-  metrics_.memo_snapshot_entries->Set(
-      static_cast<std::int64_t>(memo.snapshot_entries));
-  metrics_.memo_snapshot_bytes->Set(
-      static_cast<std::int64_t>(memo.snapshot_bytes));
-  metrics_.memo_snapshot_age_ms->Set(
-      memo.snapshot_loaded_unix_ms > 0
-          ? NowUnixMillis() - memo.snapshot_loaded_unix_ms
-          : 0);
   if (slo_ != nullptr) slo_->Publish(obs::NowNanos());
   return registry_.Snapshot();
 }
@@ -265,15 +245,7 @@ JsonValue BatchEngine::StatsSnapshotJson() const {
       .Set("inserts", static_cast<std::int64_t>(memo.inserts))
       .Set("evictions", static_cast<std::int64_t>(memo.evictions))
       .Set("skipped_inserts",
-           static_cast<std::int64_t>(memo.skipped_inserts))
-      .Set("restored", static_cast<std::int64_t>(memo.restored));
-  if (memo.snapshot_loaded_unix_ms > 0) {
-    JsonValue snap = JsonValue::Object();
-    snap.Set("entries", static_cast<std::int64_t>(memo.snapshot_entries))
-        .Set("bytes", static_cast<std::int64_t>(memo.snapshot_bytes))
-        .Set("age_ms", NowUnixMillis() - memo.snapshot_loaded_unix_ms);
-    memo_json.Set("snapshot", std::move(snap));
-  }
+           static_cast<std::int64_t>(memo.skipped_inserts));
   json.Set("memo_cache", std::move(memo_json));
   json.Set("metrics", MetricsSnapshot().ToJson());
   return json;

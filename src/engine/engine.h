@@ -141,12 +141,6 @@ struct EngineMetrics {
   obs::Gauge* memo_entries;
   obs::Gauge* memo_bytes;
   obs::Gauge* memo_evictions;
-  // Disk-snapshot provenance (serve-tcp --memo-snapshot): entries/bytes
-  // restored at startup and the snapshot's age, all zero when none loaded.
-  obs::Gauge* memo_restored;
-  obs::Gauge* memo_snapshot_entries;
-  obs::Gauge* memo_snapshot_bytes;
-  obs::Gauge* memo_snapshot_age_ms;
 };
 
 class BatchEngine {

@@ -5,7 +5,7 @@
 // emitted line is one JSON object with a fixed prefix of reserved keys —
 //
 //   {"ts_ms":<unix ms>,"seq":<monotonic>,"level":"info",
-//    "component":"server","event":"snapshot_restored", ...fields...}
+//    "component":"server","event":"drain_started", ...fields...}
 //
 // — so transcripts are greppable by event and machine-parseable without a
 // schema registry. Guarantees:
@@ -23,9 +23,8 @@
 //     injected time series.
 //
 // Emission is cheap but not hot-path-free (a mutex and a flush); callers
-// log operator-relevant events (startup, drain, snapshot IO, worker
-// respawns), not per-request traffic — that is what spans and metrics are
-// for.
+// log operator-relevant events (startup, drain), not per-request
+// traffic — that is what spans and metrics are for.
 #pragma once
 
 #include <cstdint>

@@ -104,14 +104,9 @@ MemoCacheStats MemoCache::Stats() const {
   stats.inserts = inserts_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.skipped_inserts = skipped_inserts_.load(std::memory_order_relaxed);
-  stats.restored = restored_.load(std::memory_order_relaxed);
   stats.entries = entries_.load(std::memory_order_relaxed);
   stats.bytes = bytes_.load(std::memory_order_relaxed);
   stats.capacity_entries = capacity_entries_.load(std::memory_order_relaxed);
-  stats.snapshot_entries = snapshot_entries_.load(std::memory_order_relaxed);
-  stats.snapshot_bytes = snapshot_bytes_.load(std::memory_order_relaxed);
-  stats.snapshot_loaded_unix_ms =
-      snapshot_loaded_unix_ms_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -126,47 +121,6 @@ std::vector<MemoShardStats> MemoCache::ShardStats() {
     out.push_back(s);
   }
   return out;
-}
-
-void MemoCache::ForEach(
-    const std::function<void(const std::string&,
-                             const std::shared_ptr<const void>&, std::size_t)>&
-        fn) {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // LRU first (list back), so a saver that writes entries in visit order
-    // and a restorer that replays them via RestoreEntry (each push_front)
-    // reproduce the same recency ordering.
-    for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-      fn(it->key, it->value, it->bytes);
-    }
-  }
-}
-
-void MemoCache::RestoreEntry(const std::string& key,
-                             std::shared_ptr<const void> value,
-                             std::size_t bytes) {
-  const std::size_t total_capacity = capacity();
-  if (total_capacity == 0) return;
-  const std::size_t per_shard =
-      std::max<std::size_t>(1, total_capacity / kShardCount);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.index.find(key) != shard.index.end()) return;
-  shard.lru.push_front(Entry{key, std::move(value), bytes});
-  shard.index.emplace(std::string_view(shard.lru.front().key),
-                      shard.lru.begin());
-  restored_.fetch_add(1, std::memory_order_relaxed);
-  entries_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  EvictLockedToCapacity(shard, per_shard);
-}
-
-void MemoCache::NoteSnapshotLoaded(std::uint64_t entries, std::uint64_t bytes,
-                                   std::int64_t loaded_unix_ms) {
-  snapshot_entries_.store(entries, std::memory_order_relaxed);
-  snapshot_bytes_.store(bytes, std::memory_order_relaxed);
-  snapshot_loaded_unix_ms_.store(loaded_unix_ms, std::memory_order_relaxed);
 }
 
 MemoCache::Shard& MemoCache::ShardFor(const std::string& key) {

@@ -77,15 +77,9 @@ struct MemoCacheStats {
   // forbidding memo inserts was installed (deadline-bearing solve) or the
   // cache is disabled.
   std::uint64_t skipped_inserts = 0;
-  // Entries loaded from a disk snapshot (never counted as inserts).
-  std::uint64_t restored = 0;
   std::uint64_t entries = 0;
   std::uint64_t bytes = 0;
   std::uint64_t capacity_entries = 0;
-  // The snapshot last loaded into this cache; all zero when none was.
-  std::uint64_t snapshot_entries = 0;
-  std::uint64_t snapshot_bytes = 0;
-  std::int64_t snapshot_loaded_unix_ms = 0;
 };
 
 // Per-shard occupancy, for the admin plane's /statusz (a skewed shard is
@@ -114,23 +108,6 @@ class MemoCache {
   MemoCacheStats Stats() const;
   // One entry per shard, in shard order. Takes each shard mutex briefly.
   std::vector<MemoShardStats> ShardStats();
-
-  // Snapshot plumbing (prob/memo_snapshot.h drives these). ForEach visits
-  // every resident entry shard by shard, LRU first within a shard, without
-  // copying values; the callback must not re-enter the cache. RestoreEntry
-  // inserts an entry loaded from disk, bypassing the cancel-token gate and
-  // the insert counter (it lands in `restored` instead); recency follows
-  // call order, so replaying a ForEach dump restores the LRU order too.
-  void ForEach(const std::function<void(const std::string& key,
-                                        const std::shared_ptr<const void>&,
-                                        std::size_t bytes)>& fn);
-  void RestoreEntry(const std::string& key, std::shared_ptr<const void> value,
-                    std::size_t bytes);
-
-  // Records what LoadMemoSnapshot brought in, for the obs gauges and the
-  // {"cmd":"stats"} snapshot block.
-  void NoteSnapshotLoaded(std::uint64_t entries, std::uint64_t bytes,
-                          std::int64_t loaded_unix_ms);
 
   // Returns the cached value for `key`, or computes, (maybe) inserts, and
   // returns it. `bytes_of` estimates the value's heap footprint for the
@@ -183,12 +160,8 @@ class MemoCache {
   std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> skipped_inserts_{0};
-  std::atomic<std::uint64_t> restored_{0};
   std::atomic<std::uint64_t> entries_{0};
   std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> snapshot_entries_{0};
-  std::atomic<std::uint64_t> snapshot_bytes_{0};
-  std::atomic<std::int64_t> snapshot_loaded_unix_ms_{0};
 };
 
 }  // namespace sparsedet::prob

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <utility>
@@ -21,7 +20,6 @@
 #include "obs/log.h"
 #include "obs/timer.h"
 #include "prob/memo_cache.h"
-#include "prob/memo_snapshot.h"
 #include "resilience/cancel.h"
 
 namespace sparsedet::server {
@@ -147,23 +145,6 @@ void TcpServer::Start() {
   ev.data.fd = wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-  if (!options_.memo_snapshot_path.empty()) {
-    try {
-      const prob::MemoSnapshotInfo info = prob::LoadMemoSnapshot(
-          prob::MemoCache::Global(), options_.memo_snapshot_path);
-      obs::LogInfo("server", "snapshot_restored",
-                   JsonValue::Object()
-                       .Set("path", options_.memo_snapshot_path)
-                       .Set("entries", static_cast<std::int64_t>(info.entries))
-                       .Set("bytes", static_cast<std::int64_t>(info.bytes)));
-    } catch (const Error& e) {
-      // A missing or stale snapshot is a cold start, not a failure.
-      obs::LogWarn("server", "snapshot_not_loaded",
-                   JsonValue::Object()
-                       .Set("path", options_.memo_snapshot_path)
-                       .Set("reason", std::string(e.what())));
-    }
-  }
   engine_.StartAsync();
   optimize_exec_ = std::make_unique<OptimizeExecutor>(engine_, governor_);
   optimize_exec_->Start();
@@ -276,7 +257,7 @@ void TcpServer::Run() {
     if (options_.idle_timeout_ms > 0) CloseIdleConns(obs::NowNanos());
   }
 
-  // Drained: close remaining sockets, persist the memo snapshot.
+  // Drained: close remaining sockets.
   for (auto& [fd, conn] : conns_) {
     {
       std::lock_guard<std::mutex> lock(conn->mutex);
@@ -291,22 +272,6 @@ void TcpServer::Run() {
   // joins its worker before the engine stops emitting.
   if (optimize_exec_ != nullptr) optimize_exec_->Stop();
   engine_.DrainAsync();
-  if (!options_.memo_snapshot_path.empty()) {
-    try {
-      const prob::MemoSnapshotInfo info = prob::SaveMemoSnapshot(
-          prob::MemoCache::Global(), options_.memo_snapshot_path);
-      obs::LogInfo("server", "snapshot_saved",
-                   JsonValue::Object()
-                       .Set("path", options_.memo_snapshot_path)
-                       .Set("entries", static_cast<std::int64_t>(info.entries))
-                       .Set("bytes", static_cast<std::int64_t>(info.bytes)));
-    } catch (const Error& e) {
-      obs::LogError("server", "snapshot_not_saved",
-                    JsonValue::Object()
-                        .Set("path", options_.memo_snapshot_path)
-                        .Set("reason", std::string(e.what())));
-    }
-  }
   drain_state_->Set(2);
   obs::LogInfo("server", "drained");
 }
@@ -595,22 +560,14 @@ JsonValue TcpServer::StatuszJson() const {
            static_cast<std::int64_t>(options_.max_connections))
       .Set("tenant_qps", options_.tenant_qps)
       .Set("tenant_burst", options_.tenant_burst)
-      .Set("idle_timeout_ms", options_.idle_timeout_ms)
-      .Set("memo_snapshot_path", options_.memo_snapshot_path);
+      .Set("idle_timeout_ms", options_.idle_timeout_ms);
 
   const prob::MemoCacheStats memo = prob::MemoCache::Global().Stats();
   JsonValue memo_json = JsonValue::Object();
   memo_json
       .Set("capacity", static_cast<std::int64_t>(memo.capacity_entries))
       .Set("entries", static_cast<std::int64_t>(memo.entries))
-      .Set("bytes", static_cast<std::int64_t>(memo.bytes))
-      .Set("snapshot_age_ms",
-           memo.snapshot_loaded_unix_ms > 0
-               ? std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::system_clock::now().time_since_epoch())
-                         .count() -
-                     memo.snapshot_loaded_unix_ms
-               : -1);
+      .Set("bytes", static_cast<std::int64_t>(memo.bytes));
   JsonValue shards = JsonValue::Array();
   for (const prob::MemoShardStats& shard :
        prob::MemoCache::Global().ShardStats()) {

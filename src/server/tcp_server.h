@@ -30,8 +30,8 @@
 //
 // Drain: RequestDrain() (async-signal-safe; call it from SIGTERM/SIGINT
 // handlers) makes Run() stop accepting, stop reading, flush every
-// in-flight response to its socket, persist the memo-cache snapshot when
-// configured, and return. Already-admitted requests complete normally.
+// in-flight response to its socket, and return. Already-admitted requests
+// complete normally.
 #pragma once
 
 #include <atomic>
@@ -56,9 +56,6 @@ struct TcpServerOptions {
   double tenant_qps = 0.0;    // per-tenant admission rate; 0 = unlimited
   double tenant_burst = 0.0;  // bucket capacity; 0 = max(1, tenant_qps)
   std::int64_t idle_timeout_ms = 0;  // close silent connections; 0 = off
-  // Memo-cache snapshot file: loaded (if present) by Start(), written
-  // atomically when Run() drains. Empty = disabled.
-  std::string memo_snapshot_path;
 
   // Out-of-band admin plane (admin_http.h): /metrics, /healthz, /statusz,
   // /tracez on a dedicated thread, reachable while the data plane is
@@ -78,8 +75,8 @@ class TcpServer {
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  // Binds + listens, loads the memo snapshot when configured, and starts
-  // the engine's emitter thread. Throws Error on bind/listen failure.
+  // Binds + listens and starts the engine's emitter thread. Throws Error on
+  // bind/listen failure.
   void Start();
 
   // The bound port (after Start()); useful with options.port == 0.
@@ -88,8 +85,7 @@ class TcpServer {
   int admin_port() const { return admin_ != nullptr ? admin_->port() : -1; }
 
   // Runs the event loop until RequestDrain(); returns after every
-  // in-flight response is flushed and the snapshot (if configured) is
-  // written.
+  // in-flight response is flushed.
   void Run();
 
   // Async-signal-safe drain trigger (one write(2) to an eventfd).

@@ -1,8 +1,8 @@
 // The `sparsedet adapt` subcommand end to end: flag-built and file-spec
 // runs, the JSONL epoch-trace rendering, exit-code semantics (0 = held or
 // degraded partial, 1 = completed without holding the floor, 2 = user
-// error), the --spec/flag conflict guard, memo-snapshot byte identity, and
-// {"cmd":"adapt"} through the stdio serve loop.
+// error), the --spec/flag conflict guard, and {"cmd":"adapt"} through the
+// stdio serve loop.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -173,29 +173,6 @@ TEST(CliAdapt, UsageMentionsAdapt) {
   EXPECT_EQ(RunCli({"help"}, out, err), 0);
   EXPECT_NE(out.find("adapt"), std::string::npos);
   EXPECT_NE(out.find("self-healing"), std::string::npos);
-}
-
-TEST(CliAdapt, MemoSnapshotWarmRerunIsByteIdentical) {
-  const std::string path = TestPath(".snap");
-  std::remove(path.c_str());
-  const std::vector<const char*> argv = {
-      "adapt",        "--mode",          "closed_loop",
-      "--nodes",      "80",              "--window",
-      "10",           "--k",             "3",
-      "--mean-lifetime-s", "20000",      "--horizon-epochs",
-      "3",            "--search-k",      "2:5",
-      "--min-detection", "0.5",          "--pf",
-      "0.001",        "--trials",        "100",
-      "--memo-snapshot", path.c_str()};
-  std::string cold;
-  std::string warm;
-  std::string err;
-  EXPECT_EQ(RunCli(argv, cold, err), 0) << err;
-  std::ifstream snapshot(path);
-  EXPECT_TRUE(snapshot.good()) << "snapshot file must be written";
-  EXPECT_EQ(RunCli(argv, warm, err), 0) << err;
-  EXPECT_EQ(cold, warm);
-  std::remove(path.c_str());
 }
 
 TEST(CliAdapt, ServeAnswersAdaptCommandsInStream) {

@@ -1,7 +1,7 @@
 // The `sparsedet optimize` subcommand end to end: flag-built and file-spec
 // searches, frontier JSONL rendering, exit-code semantics (0 = solved or
 // degraded partial, 1 = completed with nothing feasible, 2 = user error),
-// the --spec/flag conflict guard, and the memo-snapshot round trip.
+// and the --spec/flag conflict guard.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -176,24 +176,6 @@ TEST(CliOptimize, UsageMentionsOptimize) {
   std::string err;
   EXPECT_EQ(RunCli({"help"}, out, err), 0);
   EXPECT_NE(out.find("optimize"), std::string::npos);
-}
-
-TEST(CliOptimize, MemoSnapshotWarmRerunIsByteIdentical) {
-  const std::string path = TestPath(".snap");
-  std::remove(path.c_str());
-  const std::vector<const char*> argv = {
-      "optimize",        "--search-nodes", "60:120:20",
-      "--search-k",      "3:5",           "--min-detection",
-      "0.5",             "--memo-snapshot", path.c_str()};
-  std::string cold;
-  std::string warm;
-  std::string err;
-  EXPECT_EQ(RunCli(argv, cold, err), 0) << err;
-  std::ifstream snapshot(path);
-  EXPECT_TRUE(snapshot.good()) << "snapshot file must be written";
-  EXPECT_EQ(RunCli(argv, warm, err), 0) << err;
-  EXPECT_EQ(cold, warm);
-  std::remove(path.c_str());
 }
 
 }  // namespace

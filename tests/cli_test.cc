@@ -312,14 +312,24 @@ TEST(Cli, MalformedFlagValuesDiagnoseAndFailPerCommand) {
 }
 
 TEST(Cli, UnknownFlagFailsForEveryCommand) {
+  // serve-tcp parses every flag before it binds, so this never serves.
   for (const char* command :
        {"analyze", "simulate", "plan", "fa", "sweep", "latency", "trace",
-        "batch", "serve"}) {
+        "batch", "optimize", "adapt", "serve", "serve-tcp"}) {
     std::string out;
     std::string err;
     const int code = RunCli({command, "--no-such-flag", "1"}, out, err);
     EXPECT_EQ(code, 2) << command;
     EXPECT_NE(err.find("unknown flag"), std::string::npos) << command;
+  }
+  // The solver memo lives in memory only: there is no snapshot file flag.
+  for (const char* command : {"optimize", "adapt"}) {
+    std::string out;
+    std::string err;
+    const int code = RunCli({command, "--memo-snapshot", "x"}, out, err);
+    EXPECT_EQ(code, 2) << command;
+    EXPECT_NE(err.find("unknown flag: --memo-snapshot"), std::string::npos)
+        << command << err;
   }
 }
 

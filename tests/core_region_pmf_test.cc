@@ -215,6 +215,18 @@ TEST(RequiredRegionCap, MatchesThePerCapScanExactly) {
         << "N = " << n << " fraction = " << fraction
         << " accuracy = " << accuracy;
   }
+  // Large N above N/2, where the scan skips caps by its running lower sum.
+  // The reference scan is quadratic here (~0.5 s a case), so only three.
+  const struct {
+    double fraction;
+    double accuracy;
+  } kLargeCases[] = {{0.6, 0.99}, {0.8, 0.999}, {0.95, 1.0}};
+  for (const auto& c : kLargeCases) {
+    const double region = c.fraction * kFieldArea;
+    EXPECT_EQ(RequiredRegionCap(10000, kFieldArea, region, c.accuracy),
+              ScanRequiredRegionCap(10000, kFieldArea, region, c.accuracy))
+        << "fraction = " << c.fraction << " accuracy = " << c.accuracy;
+  }
 }
 
 TEST(RequiredRegionCap, ValidatesLikeThePerCapScan) {

@@ -1,13 +1,10 @@
 // The inverse-deployment optimizer against ground truth: an exhaustive
 // brute-force cross-check over a small grid, refinement behavior, degraded
 // partial results (admission refusal and deadline expiry), cancellation,
-// byte-identity across thread counts and cache temperature, the memo
-// snapshot round-trip, and the serve-command wrapper.
-#include <unistd.h>
-
+// byte-identity across thread counts and cache temperature, and the
+// serve-command wrapper.
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,7 +23,6 @@
 #include "opt/optimizer.h"
 #include "opt/spec.h"
 #include "prob/memo_cache.h"
-#include "prob/memo_snapshot.h"
 #include "resilience/cancel.h"
 
 namespace sparsedet::opt {
@@ -298,36 +294,6 @@ TEST(Optimizer, FrontierIsNonDominatedAndSorted) {
     prev_drain = drain;
     prev_detection = detection;
   }
-}
-
-TEST(Optimizer, MemoSnapshotRoundTripServesRerunWithZeroMisses) {
-  const std::string path = std::string(::testing::TempDir()) +
-                           "opt_memo_roundtrip_" +
-                           std::to_string(::getpid()) + ".snap";
-  std::remove(path.c_str());
-  const OptimizeSpec spec = SmallSpec();
-
-  prob::MemoCache::Global().Clear();
-  const std::string first = RunSpec(spec).ToString();
-  const prob::MemoSnapshotInfo saved =
-      prob::SaveMemoSnapshot(prob::MemoCache::Global(), path);
-  ASSERT_GT(saved.entries, 0u);
-
-  prob::MemoCache::Global().Clear();
-  const prob::MemoSnapshotInfo restored =
-      prob::LoadMemoSnapshot(prob::MemoCache::Global(), path);
-  EXPECT_EQ(restored.entries, saved.entries);
-
-  // A fresh engine (cold result cache) re-running the same search must be
-  // served entirely from the restored memo entries.
-  const prob::MemoCacheStats before = prob::MemoCache::Global().Stats();
-  const std::string second = RunSpec(spec).ToString();
-  const prob::MemoCacheStats after = prob::MemoCache::Global().Stats();
-  EXPECT_EQ(after.misses - before.misses, 0u)
-      << "restored snapshot must eliminate cold misses";
-  EXPECT_GT(after.hits - before.hits, 0u);
-  EXPECT_EQ(first, second);
-  std::remove(path.c_str());
 }
 
 TEST(Optimizer, RegistersOptMetricsInTheEngineRegistry) {

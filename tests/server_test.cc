@@ -1,11 +1,10 @@
 // End-to-end tests for the TCP serve front-end: request/response over real
 // sockets, pipelined in-order delivery, hostile framing (oversized lines,
 // byte-at-a-time frames, slowloris), mid-request disconnect cancellation,
-// per-tenant admission control, the connection cap, in-stream stats, the
-// drain-time memo snapshot roundtrip, off-loop {"cmd":"optimize"} /
-// {"cmd":"adapt"} execution, the drain-time degraded-tagging contract
-// for long commands, and byte-identity with stdio serve on command,
-// blank and malformed lines.
+// per-tenant admission control, the connection cap, in-stream stats,
+// off-loop {"cmd":"optimize"} / {"cmd":"adapt"} execution, the drain-time
+// degraded-tagging contract for long commands, and byte-identity with
+// stdio serve on command, blank and malformed lines.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -426,50 +425,6 @@ TEST(TcpServer, StatsCommandAnswersInStream) {
   // carries the server's own counters.
   EXPECT_NE(response.find("\"requests\":1"), std::string::npos);
   EXPECT_NE(response.find("server_connections_active"), std::string::npos);
-}
-
-TEST(TcpServer, DrainPersistsSnapshotAndRestartRestoresIt) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "server_drain_memo.snap";
-  std::remove(path.c_str());
-  prob::MemoCache::Global().Clear();
-
-  TcpServerOptions options;
-  options.memo_snapshot_path = path;
-  {
-    TestServer server(options);
-    Client client(server.port());
-    ASSERT_TRUE(client.connected());
-    ASSERT_TRUE(
-        client.SendLine(R"({"id":1,"op":"analyze","params":{"nodes":73}})"));
-    std::string response;
-    ASSERT_TRUE(client.ReadLine(&response));
-    EXPECT_NE(response.find("\"result\""), std::string::npos);
-  }  // drain writes the snapshot
-
-  const prob::MemoCacheStats cold = prob::MemoCache::Global().Stats();
-  ASSERT_GT(cold.entries, 0u);
-  prob::MemoCache::Global().Clear();
-
-  {
-    TestServer server(options);  // Start() loads the snapshot
-    const prob::MemoCacheStats restored = prob::MemoCache::Global().Stats();
-    EXPECT_EQ(restored.restored, cold.entries);
-    EXPECT_GT(restored.snapshot_entries, 0u);
-
-    // The same scenario now solves entirely from restored memo entries.
-    const prob::MemoCacheStats before = prob::MemoCache::Global().Stats();
-    Client client(server.port());
-    ASSERT_TRUE(client.connected());
-    ASSERT_TRUE(
-        client.SendLine(R"({"id":2,"op":"analyze","params":{"nodes":73}})"));
-    std::string response;
-    ASSERT_TRUE(client.ReadLine(&response));
-    EXPECT_NE(response.find("\"result\""), std::string::npos);
-    const prob::MemoCacheStats after = prob::MemoCache::Global().Stats();
-    EXPECT_EQ(after.misses - before.misses, 0u);
-  }
-  std::remove(path.c_str());
 }
 
 // The optimize command a few tests share: the golden reference study
