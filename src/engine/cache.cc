@@ -22,30 +22,40 @@ LruResultCache::LruResultCache(std::size_t capacity,
 }
 
 std::shared_ptr<const JsonValue> LruResultCache::Get(const std::string& key) {
+  return Lookup(key).value;
+}
+
+LruResultCache::Hit LruResultCache::Lookup(const std::string& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     misses_->Inc();
-    return nullptr;
+    return {};
   }
   hits_->Inc();
   lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
+  return it->second->hit;
 }
 
 void LruResultCache::Put(const std::string& key,
                          std::shared_ptr<const JsonValue> value) {
+  Put(key, std::move(value), nullptr);
+}
+
+void LruResultCache::Put(const std::string& key,
+                         std::shared_ptr<const JsonValue> value,
+                         std::shared_ptr<const std::string> bytes) {
   SPARSEDET_REQUIRE(value != nullptr, "cannot cache a null result");
   if (capacity_ == 0) return;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    it->second->second = std::move(value);
+    it->second->hit = {std::move(value), std::move(bytes)};
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(key, std::move(value));
+  lru_.push_front({key, {std::move(value), std::move(bytes)}});
   entries_[key] = lru_.begin();
   while (entries_.size() > capacity_) {
-    entries_.erase(lru_.back().first);
+    entries_.erase(lru_.back().key);
     lru_.pop_back();
     evictions_->Inc();
   }

@@ -31,6 +31,10 @@ struct BatchEngine::PendingUnit {
   int attempts = 1;
   bool done = false;      // guarded by done_mutex_
   bool inserted = false;  // coordinator-only: already in the cache
+  // Async requests waiting on this unit, one entry per reference; the
+  // worker that publishes it completes those it was the last unit of.
+  // Guarded by done_mutex_.
+  std::vector<std::shared_ptr<PendingRequest>> waiters;
 };
 
 struct BatchEngine::PendingRequest {
@@ -49,8 +53,15 @@ struct BatchEngine::PendingRequest {
   struct UnitRef {
     std::shared_ptr<PendingUnit> pending;
     std::shared_ptr<const JsonValue> cached;
+    // The cached result's rendered bytes, when its entry has them.
+    std::shared_ptr<const std::string> cached_bytes;
   };
   std::vector<UnitRef> units;  // parallel to span.units
+
+  // Async only: the submitter's callback, and the number of references to
+  // units still pending (guarded by done_mutex_).
+  ResponseCallback done;
+  int remaining = 0;
 };
 
 namespace {
@@ -81,6 +92,19 @@ constexpr std::size_t kGroupCostThreshold = std::size_t{1} << 20;
 // this per available worker and the dispatch overhead being amortized is
 // already negligible.
 constexpr std::size_t kGroupMinUnitsPerChunk = 16;
+
+// The response line of a successful non-sweep request, around its result's
+// rendered bytes: exactly what JsonValue renders for {"id", "op", "result"},
+// since objects render field by field with no whitespace.
+std::string ResultLine(const JsonValue& id, RequestOp op,
+                       const std::string& result) {
+  std::string line = "{\"id\":" + id.ToString() + ",\"op\":\"" + OpName(op) +
+                     "\",\"result\":";
+  line.reserve(line.size() + result.size() + 1);
+  line += result;
+  line += '}';
+  return line;
+}
 
 WorkerPoolOptions MakePoolOptions(const EngineOptions& options,
                                   const EngineMetrics& metrics) {
@@ -225,8 +249,8 @@ JsonValue BatchEngine::OptionsJson() const {
 JsonValue BatchEngine::StatsSnapshotJson() const {
   JsonValue json;
   {
-    // The result cache is coordinator-state; the async emitter may be
-    // publishing into it concurrently.
+    // The result cache is coordinator-state; async requests completing on
+    // pool workers may be publishing into it concurrently.
     std::lock_guard<std::mutex> lock(plan_mutex_);
     json = stats().ToJson(cache_);
   }
@@ -259,7 +283,7 @@ std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
   // attributable.
   pending->id = std::move(line.id);
   pending->planned_ns = obs::NowNanos();
-  pending->span.trace_id = next_trace_id_++;
+  pending->span.trace_id = next_trace_id_.fetch_add(1);
   pending->span.line = line.number;
   metrics_.requests->Inc();
   if (line.kind == InputLine::Kind::kTooLong) {
@@ -273,10 +297,7 @@ std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
     pending->parse_error = std::move(line.error);
     return pending;
   }
-  // Fresh (non-cached, non-coalesced) units are collected here and handed
-  // to the pool together once the whole request has planned, so small
-  // units can share pool tasks (FlushSubmits).
-  std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>> fresh;
+  std::vector<WorkUnit> expanded;
   try {
     pending->request = ParseRequest(line.json, line.number);
     pending->id = pending->request.id;
@@ -294,40 +315,55 @@ std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
       pending->token = std::make_shared<resilience::CancelToken>(
           resilience::Deadline(), parent);
     }
+    expanded = ExpandRequest(pending->request);
+  } catch (const Error& e) {
+    pending->parse_error = e.what();
+    return pending;
+  }
 
-    std::vector<WorkUnit> expanded = ExpandRequest(pending->request);
+  // Backpressure: checked before any unit is admitted, so a rejected
+  // request contributes nothing to the unit/cache counters.
+  if (options_.max_queue > 0 &&
+      pool_.QueueDepth() + expanded.size() > options_.max_queue) {
+    metrics_.overloaded->Inc();
+    pending->parse_error =
+        "engine overloaded: " + std::to_string(expanded.size()) +
+        " unit(s) would exceed max queue depth " +
+        std::to_string(options_.max_queue);
+    pending->plan_error_code = "overloaded";
+    pending->span.outcome = "overloaded";
+    return pending;
+  }
 
-    // Backpressure: checked before any unit is admitted, so a rejected
-    // request contributes nothing to the unit/cache counters.
-    if (options_.max_queue > 0 &&
-        pool_.QueueDepth() + expanded.size() > options_.max_queue) {
-      metrics_.overloaded->Inc();
-      pending->parse_error =
-          "engine overloaded: " + std::to_string(expanded.size()) +
-          " unit(s) would exceed max queue depth " +
-          std::to_string(options_.max_queue);
-      pending->plan_error_code = "overloaded";
-      pending->span.outcome = "overloaded";
-      return pending;
-    }
+  std::vector<std::string> keys;
+  keys.reserve(expanded.size());
+  for (const WorkUnit& unit : expanded) keys.push_back(CanonicalKey(unit));
 
-    // A request under a deadline keeps to itself: its units still consult
-    // the cache, but they neither join in-flight units nor register as
-    // coalescing targets — cancelling a shared unit would fail an innocent
-    // request that coalesced onto it.
-    const bool isolated = pending->token != nullptr;
-
-    for (WorkUnit& unit : expanded) {
+  // A request under a deadline keeps to itself: its units still consult
+  // the cache, but they neither join in-flight units nor register as
+  // coalescing targets — cancelling a shared unit would fail an innocent
+  // request that coalesced onto it.
+  const bool isolated = pending->token != nullptr;
+  // Fresh (non-cached, non-coalesced) units are collected here and handed
+  // to the pool together once the whole request has planned, so small
+  // units can share pool tasks (FlushSubmits).
+  std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>> fresh;
+  {
+    // Everything above reads only the line. The in-flight slots, the
+    // cache and its counters are shared with concurrent submitters and
+    // with async requests completing on pool workers.
+    std::lock_guard<std::mutex> lock(plan_mutex_);
+    for (std::size_t i = 0; i < expanded.size(); ++i) {
       metrics_.units->Inc();
       PendingRequest::UnitRef ref;
       obs::RequestSpan::Unit unit_span;
-      const std::string key = CanonicalKey(unit);
+      const std::string& key = keys[i];
 
       const std::int64_t lookup_start = obs::NowNanos();
       const auto it = isolated ? in_flight_.end() : in_flight_.find(key);
       const bool coalesced = it != in_flight_.end();
-      std::shared_ptr<const JsonValue> cached;
-      if (!coalesced) cached = cache_.Get(key);
+      LruResultCache::Hit cached;
+      if (!coalesced) cached = cache_.Lookup(key);
       const std::int64_t lookup_ns = obs::NowNanos() - lookup_start;
       metrics_.cache_lookup->Record(lookup_ns);
       pending->span.cache_lookup_ns += lookup_ns;
@@ -336,8 +372,9 @@ std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
         ref.pending = it->second;
         metrics_.coalesced->Inc();
         unit_span.source = "coalesced";
-      } else if (cached != nullptr) {
-        ref.cached = std::move(cached);
+      } else if (cached.value != nullptr) {
+        ref.cached = std::move(cached.value);
+        ref.cached_bytes = std::move(cached.bytes);
         unit_span.source = "cache_hit";
       } else {
         auto slot = std::make_shared<PendingUnit>();
@@ -346,24 +383,13 @@ std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
         if (!isolated) in_flight_.emplace(key, slot);
         ref.pending = slot;
         unit_span.source = "computed";
-        fresh.emplace_back(slot, std::move(unit));
+        fresh.emplace_back(slot, std::move(expanded[i]));
       }
       pending->units.push_back(std::move(ref));
       pending->span.units.push_back(std::move(unit_span));
     }
-    FlushSubmits(&fresh);
-  } catch (const Error& e) {
-    // Units planned before the failure were registered as coalescing
-    // targets but never submitted; leaving them would hang any later
-    // request that coalesces onto them.
-    for (const auto& [slot, unit] : fresh) {
-      const auto it = in_flight_.find(slot->key);
-      if (it != in_flight_.end() && it->second == slot) in_flight_.erase(it);
-    }
-    pending->parse_error = e.what();
-    pending->units.clear();
-    pending->span.units.clear();
   }
+  FlushSubmits(&fresh);
   return pending;
 }
 
@@ -514,22 +540,70 @@ void BatchEngine::RunUnit(const std::shared_ptr<PendingUnit>& slot,
     // Only the publishing attempt writes the slot here: after a resubmit
     // the retry owns it and may already be running on another worker.
     slot->solve_ns = solve_ns;
-    // Notify while holding the mutex: the coordinator may destroy this
-    // engine (and the condvar) as soon as it observes done, so the
-    // broadcast must complete before the waiter can re-acquire.
-    std::lock_guard<std::mutex> lock(done_mutex_);
-    slot->done = true;
-    done_cv_.notify_all();
+    std::vector<std::shared_ptr<PendingRequest>> completed;
+    {
+      // Notify while holding the mutex: the coordinator may destroy this
+      // engine (and the condvar) as soon as it observes done, so the
+      // broadcast must complete before the waiter can re-acquire.
+      std::lock_guard<std::mutex> lock(done_mutex_);
+      slot->done = true;
+      done_cv_.notify_all();
+      for (std::shared_ptr<PendingRequest>& waiter : slot->waiters) {
+        if (--waiter->remaining == 0) completed.push_back(std::move(waiter));
+      }
+      slot->waiters.clear();
+    }
+    // Every path above — result, error, cancellation, exhausted retries, a
+    // dying worker — publishes exactly once, so each async request waiting
+    // on this unit is counted down exactly once, and answered here when
+    // this was its last unit.
+    for (const std::shared_ptr<PendingRequest>& request : completed) {
+      CompleteAsync(*request);
+    }
   }
   if (propagate_abort) {
     throw resilience::WorkerAbort("worker crashed evaluating " + slot->key);
   }
 }
 
-std::string BatchEngine::RenderRequest(PendingRequest& request) {
+bool BatchEngine::WaitForUnits(const PendingRequest& request) {
+  if (!request.parse_error.empty()) return false;
+  std::unique_lock<std::mutex> lock(done_mutex_);
+  // A token without a deadline (cancel-on-disconnect) gets the plain
+  // wait: cancellation makes its workers publish done with an error, so
+  // the wait still terminates.
+  const resilience::Deadline deadline =
+      request.token != nullptr ? request.token->EffectiveDeadline()
+                               : resilience::Deadline();
+  if (!deadline.set()) {
+    for (const PendingRequest::UnitRef& ref : request.units) {
+      if (ref.pending) {
+        done_cv_.wait(lock, [&ref] { return ref.pending->done; });
+      }
+    }
+    return false;
+  }
+  const auto expires = deadline.time_point();
+  for (const PendingRequest::UnitRef& ref : request.units) {
+    if (!ref.pending) continue;
+    if (!done_cv_.wait_until(lock, expires,
+                             [&ref] { return ref.pending->done; })) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string BatchEngine::RenderRequest(PendingRequest& request,
+                                       bool deadline_hit) {
   obs::RequestSpan& span = request.span;
   span.request_id = request.id;
   JsonValue response = JsonValue::Object();
+  // Set when the line is built around the result's rendered bytes (a
+  // successful non-sweep response without a trace); `response` then
+  // stays empty.
+  std::shared_ptr<const std::string> result_bytes;
+  std::int64_t render_ns = 0;  // time spent rendering result_bytes
 
   // On deadline expiry: try the cheap closed-form fallback if asked for it,
   // otherwise report a structured deadline error. Returns true once a
@@ -562,43 +636,16 @@ std::string BatchEngine::RenderRequest(PendingRequest& request) {
       response.Set("error_code", request.plan_error_code);
     }
   } else {
-    bool deadline_hit = false;
-    {
-      std::unique_lock<std::mutex> lock(done_mutex_);
-      // A token without a deadline (cancel-on-disconnect) gets the plain
-      // wait: cancellation makes its workers publish done with an error,
-      // so the wait still terminates.
-      const resilience::Deadline deadline =
-          request.token != nullptr ? request.token->EffectiveDeadline()
-                                   : resilience::Deadline();
-      if (!deadline.set()) {
-        for (const PendingRequest::UnitRef& ref : request.units) {
-          if (ref.pending) {
-            done_cv_.wait(lock, [&ref] { return ref.pending->done; });
-          }
-        }
-      } else {
-        const auto expires = deadline.time_point();
-        for (const PendingRequest::UnitRef& ref : request.units) {
-          if (!ref.pending) continue;
-          if (!done_cv_.wait_until(lock, expires,
-                                   [&ref] { return ref.pending->done; })) {
-            deadline_hit = true;
-            break;
-          }
-        }
-      }
-    }
-
     if (deadline_hit) {
       // Tell the workers to stop burning CPU on this request; the
       // cancellation points inside the solvers pick it up.
       request.token->Cancel(resilience::CancelReason::kDeadline);
       metrics_.deadline_exceeded->Inc();
       span.outcome = "deadline_exceeded";
-      // The slots may still be written by workers that have not yet hit a
-      // cancellation point — read none of them. That also guarantees
-      // nothing from a timed-out request ever reaches the result cache.
+      // In the sync paths the slots may still be written by workers that
+      // have not yet hit a cancellation point — read none of them. That
+      // also guarantees nothing from a timed-out request ever reaches the
+      // result cache.
       if (!try_degrade()) {
         metrics_.errors->Inc();
         response.Set("id", request.id)
@@ -609,8 +656,9 @@ std::string BatchEngine::RenderRequest(PendingRequest& request) {
             .Set("error_code", "deadline_exceeded");
       }
     } else {
-      // Copy the worker-side timings into the span (race-free: done was
-      // observed under done_mutex_ above).
+      // Copy the worker-side timings into the span (race-free: every done
+      // flag was observed under done_mutex_, by WaitForUnits or by the
+      // thread completing an async request).
       for (std::size_t i = 0; i < request.units.size(); ++i) {
         if (const auto& pending = request.units[i].pending) {
           span.units[i].queue_wait_ns = pending->queue_wait_ns;
@@ -618,6 +666,25 @@ std::string BatchEngine::RenderRequest(PendingRequest& request) {
           span.units[i].attempts = pending->attempts;
           span.queue_wait_ns += pending->queue_wait_ns;
           span.solve_ns += pending->solve_ns;
+        }
+      }
+
+      // A non-sweep request has one unit. Without a trace its line is
+      // built around the result's rendered bytes: a hit's come from the
+      // cache entry, a computed result's are rendered here (no lock held)
+      // and stored with it. Only sweep points (whose keys no other op
+      // shares) and traced engines store entries without bytes.
+      const bool reuse_bytes =
+          !options_.trace && request.request.op != RequestOp::kSweep;
+      if (reuse_bytes) {
+        const PendingRequest::UnitRef& ref = request.units.front();
+        if (ref.cached) {
+          result_bytes = ref.cached_bytes;
+        } else if (ref.pending->error.empty()) {
+          const std::int64_t render_start = obs::NowNanos();
+          result_bytes = std::make_shared<const std::string>(
+              ref.pending->result->ToString());
+          render_ns = obs::NowNanos() - render_start;
         }
       }
 
@@ -639,17 +706,18 @@ std::string BatchEngine::RenderRequest(PendingRequest& request) {
             unit_error_code = slot.error_code;
             break;
           }
-          // First emitter of a shared unit publishes it to the cache; this
-          // runs on the emitter in emission order (the coordinator in the
-          // sync paths), keeping eviction deterministic.
+          // The first request rendered of those sharing a unit publishes
+          // it to the cache. The sync paths render on the coordinator in
+          // input order, keeping eviction deterministic; async requests
+          // publish in completion order.
           if (!slot.inserted) {
-            cache_.Put(slot.key, slot.result);
+            cache_.Put(slot.key, slot.result, result_bytes);
             slot.inserted = true;
           }
           results.push_back(slot.result.get());
         }
         // Release this request's in-flight registrations: async mode plans
-        // concurrently with emission, so they are not cleared wholesale the
+        // concurrently with rendering, so they are not cleared wholesale the
         // way the sync paths do (there the map is already empty here).
         for (const PendingRequest::UnitRef& ref : request.units) {
           if (!ref.pending) continue;
@@ -679,16 +747,21 @@ std::string BatchEngine::RenderRequest(PendingRequest& request) {
         }
       } else {
         metrics_.ok->Inc();
-        response.Set("id", request.id)
-            .Set("op", OpName(request.request.op))
-            .Set("result", ComposeResponse(request.request, results));
+        if (result_bytes == nullptr) {
+          response.Set("id", request.id)
+              .Set("op", OpName(request.request.op))
+              .Set("result", ComposeResponse(request.request, results));
+        }
       }
     }
   }
 
   const std::int64_t serialize_start = obs::NowNanos();
-  std::string text = response.ToString();
-  span.serialize_ns = obs::NowNanos() - serialize_start;
+  std::string text =
+      result_bytes != nullptr
+          ? ResultLine(request.id, request.request.op, *result_bytes)
+          : response.ToString();
+  span.serialize_ns = render_ns + (obs::NowNanos() - serialize_start);
   metrics_.serialize->Record(span.serialize_ns);
 
   if (options_.trace) {
@@ -696,7 +769,9 @@ std::string BatchEngine::RenderRequest(PendingRequest& request) {
     text = response.ToString();
   }
   if (trace_out_.is_open()) {
-    trace_out_ << span.ToFileJson().ToString() << "\n";
+    const std::string line = span.ToFileJson().ToString();
+    std::lock_guard<std::mutex> lock(trace_out_mutex_);
+    trace_out_ << line << "\n";
     trace_out_.flush();
   }
 
@@ -755,7 +830,8 @@ void BatchEngine::ProcessStream(std::istream& in, std::ostream& out,
     if (line.kind == InputLine::Kind::kCommand) {
       out << AnswerCommand(line).ToString() << "\n";
     } else {
-      out << RenderRequest(*PlanLine(std::move(line))) << "\n";
+      const std::unique_ptr<PendingRequest> request = PlanLine(std::move(line));
+      out << RenderRequest(*request, WaitForUnits(*request)) << "\n";
       in_flight_.clear();
     }
     out.flush();
@@ -765,7 +841,7 @@ void BatchEngine::ProcessStream(std::istream& in, std::ostream& out,
 
   if (!options_.unordered) {
     for (const std::unique_ptr<PendingRequest>& request : planned) {
-      out << RenderRequest(*request) << "\n";
+      out << RenderRequest(*request, WaitForUnits(*request)) << "\n";
     }
     return;
   }
@@ -794,7 +870,7 @@ void BatchEngine::ProcessStream(std::istream& in, std::ostream& out,
         return false;
       });
     }
-    out << RenderRequest(*planned[next]) << "\n";
+    out << RenderRequest(*planned[next], WaitForUnits(*planned[next])) << "\n";
     emitted[next] = true;
     --remaining;
   }
@@ -808,9 +884,7 @@ void BatchEngine::Serve(std::istream& in, std::ostream& out) {
   ProcessStream(in, out, /*streaming=*/true);
 }
 
-void BatchEngine::StartAsync() {
-  if (emitter_ == nullptr) emitter_ = std::make_unique<WorkerPool>(1);
-}
+void BatchEngine::StartAsync() { async_started_.store(true); }
 
 void BatchEngine::SubmitLineAsync(
     const std::string& line, int line_number,
@@ -823,31 +897,73 @@ void BatchEngine::SubmitLineAsync(
 void BatchEngine::SubmitAsync(
     InputLine line, std::shared_ptr<const resilience::CancelToken> parent,
     ResponseCallback done) {
-  SPARSEDET_CHECK(emitter_ != nullptr, "SubmitAsync before StartAsync");
-  std::shared_ptr<PendingRequest> request;  // null: a command line
-  InputLine command;
-  if (line.kind == InputLine::Kind::kCommand) {
-    // Answered at emission, so a pipelined {"cmd":"stats"} reflects every
-    // request submitted before it.
-    command = std::move(line);
-  } else {
-    std::lock_guard<std::mutex> lock(plan_mutex_);
-    request = PlanLine(std::move(line), std::move(parent));
+  SPARSEDET_CHECK(async_started_.load(), "SubmitAsync before StartAsync");
+  {
+    std::lock_guard<std::mutex> lock(async_mutex_);
+    ++async_pending_;
   }
-  emitter_->Submit([this, request, command = std::move(command),
-                    done = std::move(done)] {
-    std::string text = request != nullptr
-                           ? RenderRequest(*request)
-                           : AnswerCommand(command).ToString();
+  if (line.kind == InputLine::Kind::kCommand) {
+    // Answered here, so a pipelined {"cmd":"stats"} counts every request
+    // planned before it.
+    std::string text = AnswerCommand(line).ToString();
     if (done) done(std::move(text));
-  });
+    FinishAsync();
+    return;
+  }
+  const std::shared_ptr<PendingRequest> request =
+      PlanLine(std::move(line), std::move(parent));
+  request->done = std::move(done);
+  // Nothing left to compute (cache hits, a plan-time error): answer on
+  // this thread. Otherwise the worker publishing the last unit does.
+  if (AwaitUnits(request) == 0) CompleteAsync(*request);
+}
+
+int BatchEngine::AwaitUnits(const std::shared_ptr<PendingRequest>& request) {
+  std::lock_guard<std::mutex> lock(done_mutex_);
+  for (const PendingRequest::UnitRef& ref : request->units) {
+    // A unit already published counts at once.
+    if (ref.pending && !ref.pending->done) {
+      ref.pending->waiters.push_back(request);
+      ++request->remaining;
+    }
+  }
+  return request->remaining;
+}
+
+void BatchEngine::CompleteAsync(PendingRequest& request) {
+  // Every unit is done, so nobody waited on the deadline: it counts as hit
+  // when it has passed, or when it cancelled a unit.
+  bool deadline_hit = false;
+  if (request.parse_error.empty() && request.token != nullptr) {
+    const resilience::Deadline deadline = request.token->EffectiveDeadline();
+    deadline_hit = deadline.set() && deadline.Expired();
+    for (const PendingRequest::UnitRef& ref : request.units) {
+      if (ref.pending && ref.pending->error_code == "deadline_exceeded") {
+        deadline_hit = true;
+      }
+    }
+  }
+  std::string text = RenderRequest(request, deadline_hit);
+  if (request.done) request.done(std::move(text));
+  FinishAsync();
+}
+
+void BatchEngine::FinishAsync() {
+  // Notify while holding the mutex, as RunUnit does: DrainAsync in
+  // ~BatchEngine may return, and the condvar die, once it sees zero.
+  std::lock_guard<std::mutex> lock(async_mutex_);
+  if (--async_pending_ == 0) async_idle_.notify_all();
 }
 
 void BatchEngine::DrainAsync() {
-  if (emitter_ != nullptr) emitter_->Wait();
+  std::unique_lock<std::mutex> lock(async_mutex_);
+  async_idle_.wait(lock, [this] { return async_pending_ == 0; });
 }
 
-void BatchEngine::StopAsync() { emitter_.reset(); }
+void BatchEngine::StopAsync() {
+  DrainAsync();
+  async_started_.store(false);
+}
 
 void BatchEngine::WriteStatsLine(std::ostream& out) const {
   out << stats().ToJson(cache_).ToString() << "\n";

@@ -14,7 +14,10 @@
 //     across worker-thread counts.
 // Unordered mode trades that for latency: responses are emitted as soon as
 // they complete (each tagged with its request id), and the stats counters
-// remain deterministic but line order does not.
+// remain deterministic but line order does not. The async API (the TCP
+// front-end's) keeps neither: it answers each request where its work
+// finishes, so callbacks and cache insertions follow completion order —
+// each response is still byte-identical to the sync paths' for its line.
 //
 // Per-request error isolation: a malformed line or an invalid scenario
 // yields one {"id": ..., "error": ...} line; the engine itself never
@@ -30,6 +33,7 @@
 // {"cmd":"stats"} line in-stream with the full registry snapshot.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
@@ -183,11 +187,13 @@ class BatchEngine {
   // The SLO tracker, or null unless options.slo enabled one.
   obs::SloTracker* slo() { return slo_.get(); }
 
-  // Called at the end of every rendered request (the emitter in async
-  // mode, the coordinator in the sync paths) with the request's
-  // flattened span. Install before traffic starts; the hook must not
-  // block or re-enter the engine. Front-ends use it to feed their own
-  // histograms (server_queue_wait_us / server_solve_us).
+  // Called at the end of every rendered request with the request's
+  // flattened span: in async mode on the thread that answers it (the
+  // submitting thread, or the pool worker that finished its last unit),
+  // in the sync paths on the coordinator. Install before traffic starts;
+  // the hook may run on several threads at once and must not block or
+  // re-enter the engine. Front-ends use it to feed their own histograms
+  // (server_queue_wait_us / server_solve_us).
   using CompletionHook = std::function<void(const obs::CompletedSpan&)>;
   void SetCompletionHook(CompletionHook hook) { completion_hook_ = std::move(hook); }
 
@@ -197,23 +203,32 @@ class BatchEngine {
 
   // ---- Out-of-band submission (the TCP front-end) ----
   //
-  // The async API decouples planning from emission so many connections can
-  // feed one engine concurrently. SubmitAsync plans the line immediately
-  // (on the caller's thread, serialized by an internal mutex) and submits
-  // one render task to the emitter, a one-worker WorkerPool that StartAsync
-  // creates. One worker renders responses in submission order — which
-  // preserves both the per-submitter response order and the
-  // coordinator-thread cache-op ordering the determinism contract
-  // requires — and hands each rendered line (no trailing newline) to its
-  // callback. Callbacks run on the emitter's worker thread and must not
-  // block or re-enter the engine.
+  // The async API lets many connections feed one engine concurrently, and
+  // answers each request where its work finishes. SubmitAsync plans the
+  // line on the caller's thread (serialized by an internal mutex). A line
+  // with nothing to compute — every unit a result-cache hit, or a plan-time
+  // error — is rendered and called back on that thread before SubmitAsync
+  // returns. Otherwise the pool worker that publishes the request's last
+  // unit renders it and calls back. So callbacks run on the submitting
+  // thread or on a pool worker, several at once, in completion order: there
+  // is no global order, and a submitter that needs its own order (the TCP
+  // server's per-connection reorder buffer) restores it. Each callback gets
+  // the rendered line (no trailing newline), byte-identical to what Serve
+  // prints for that line, and must not block or re-enter the engine.
+  //
+  // No thread waits on a request's deadline: a request is answered when its
+  // last unit publishes, and one whose deadline has passed by then (or
+  // whose unit the deadline cancelled) gets the same deadline_exceeded
+  // error or degraded answer the sync paths give. A unit still queued when
+  // its deadline passes is only answered once a worker dequeues it.
   //
   // `parent` (optional) chains under every token the request creates, so
   // cancelling it — e.g. on client disconnect — stops the request's units
   // at their next cancellation point. Command lines ({"cmd":...}) are
-  // answered in FIFO position, reflecting all earlier submissions.
+  // answered at submission, on the submitting thread: a "stats" line
+  // counts every request planned before it.
   using ResponseCallback = std::function<void(std::string response)>;
-  // Creates the emitter; a no-op while one is running.
+  // Enables SubmitAsync; a no-op while enabled.
   void StartAsync();
   // Submits a line the caller has read with ReadInputLine. Blank lines are
   // answered like malformed ones; front ends skip them before submitting.
@@ -225,18 +240,17 @@ class BatchEngine {
   void SubmitLineAsync(const std::string& line, int line_number,
                        std::shared_ptr<const resilience::CancelToken> parent,
                        bool oversized, ResponseCallback done);
-  // Blocks until every submitted line has been rendered and called back.
+  // Blocks until every submitted line has been called back.
   void DrainAsync();
-  // Destroys the emitter, which first answers every line still queued.
-  // StartAsync may be called again.
+  // Drains, then disables SubmitAsync. StartAsync may be called again.
   void StopAsync();
 
   // Front-end extension point: answers every command line other than
   // "stats" (the front end knows its own command table). Without a hook
   // those get {"error": "unknown cmd; expected \"stats\""}. The hook runs
   // synchronously on the thread answering the line — the serve loop, idle
-  // between requests, or the emitter in async mode, where it must not
-  // block. Install before traffic starts.
+  // between requests, or the submitting thread in async mode, where it
+  // must not block. Install before traffic starts.
   using CommandHook = std::function<JsonValue(const InputLine& line)>;
   void SetCommandHook(CommandHook hook) { command_hook_ = std::move(hook); }
 
@@ -246,15 +260,29 @@ class BatchEngine {
 
   // Plans one read line into a pending request, submitting any newly
   // needed evaluations to the pool. Too-long and malformed lines become
-  // pending errors. Callers hold plan_mutex_ (the sync paths are
-  // single-threaded and satisfy that trivially).
+  // pending errors. Parsing, expansion and key building read only the
+  // line; the lookups in the cache and in_flight_ take plan_mutex_, so
+  // async submitters may call it concurrently.
   std::unique_ptr<PendingRequest> PlanLine(
       InputLine line,
       std::shared_ptr<const resilience::CancelToken> parent = nullptr);
-  // Blocks until the request's units are done, inserts newly computed
-  // results into the cache, and returns the rendered response line (no
-  // trailing newline).
-  std::string RenderRequest(PendingRequest& request);
+  // Sync paths: blocks until the request's units are done; returns true
+  // when its deadline expired first.
+  bool WaitForUnits(const PendingRequest& request);
+  // Renders a request whose units are all done (or abandoned to an
+  // expired deadline): inserts newly computed results into the cache and
+  // returns the response line (no trailing newline). Runs on several
+  // threads at once in async mode.
+  std::string RenderRequest(PendingRequest& request, bool deadline_hit);
+  // Async: registers `request` on each of its units still pending and
+  // returns how many there are; the worker publishing the last one
+  // completes it.
+  int AwaitUnits(const std::shared_ptr<PendingRequest>& request);
+  // Async: renders a request whose units are all done, calls it back and
+  // counts it answered.
+  void CompleteAsync(PendingRequest& request);
+  // Async: counts one submitted line answered, waking DrainAsync at zero.
+  void FinishAsync();
   void ProcessStream(std::istream& in, std::ostream& out, bool streaming);
   // The response object for a command line: "stats" is answered with
   // StatsSnapshotJson(), every other name by the command hook.
@@ -282,37 +310,42 @@ class BatchEngine {
   // (workers record into phase histograms until joined) — declaration
   // order is load-bearing here. The injector sits between cache and pool
   // for the same reason: workers call into it until the pool is joined.
+  // Pool workers also render async requests with members declared after
+  // pool_; ~BatchEngine drains the async requests before any member dies.
   obs::MetricsRegistry registry_;
   EngineMetrics metrics_;
   LruResultCache cache_;
   std::unique_ptr<resilience::FaultInjector> injector_;
-  // Completion signalling shared by all units. Declared before the pool:
+  // Completion signalling shared by all units: done flags, the sync
+  // paths' condvar and the async waiter lists. Declared before the pool:
   // a worker abandoned by a deadline may broadcast on done_cv_ right up
   // until the pool's destructor joins it, so the condvar must die later.
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
+  // Async requests submitted and not yet called back, for DrainAsync.
+  // Declared before the pool for the same reason as done_cv_.
+  std::mutex async_mutex_;
+  std::condition_variable async_idle_;
+  std::size_t async_pending_ = 0;  // guarded by async_mutex_
+  std::atomic<bool> async_started_{false};
   WorkerPool pool_;
+  std::mutex trace_out_mutex_;  // async requests render concurrently
   std::ofstream trace_out_;
-  std::uint64_t next_trace_id_ = 1;
+  std::atomic<std::uint64_t> next_trace_id_{1};
   obs::TraceRing trace_ring_;
   std::unique_ptr<obs::SloTracker> slo_;  // null unless options.slo enabled
   CompletionHook completion_hook_;        // set before traffic, or never
   CommandHook command_hook_;              // set before traffic, or never
 
-  // Units planned but not yet handed to emission, keyed by canonical key;
-  // identical units join the same slot instead of recomputing.
+  // Units planned but not yet rendered, keyed by canonical key; identical
+  // units join the same slot instead of recomputing.
   std::unordered_map<std::string, std::shared_ptr<PendingUnit>> in_flight_;
 
-  // Serializes the coordinator-side state (PlanLine, the emitter's cache
-  // publication, in_flight_, next_trace_id_, stats rendering) when the
-  // async API is in use. The sync paths run single-threaded and pay one
-  // uncontended lock per request.
+  // Serializes the coordinator-side state (PlanLine's lookups, cache
+  // publication at render time, in_flight_, stats rendering) when the
+  // async API is in use. The sync paths run single-threaded and pay
+  // uncontended locks.
   mutable std::mutex plan_mutex_;
-
-  // Async emission: one worker, so tasks render in submission order. Null
-  // outside StartAsync/StopAsync. Declared last: its tasks use every
-  // member above.
-  std::unique_ptr<WorkerPool> emitter_;
 };
 
 }  // namespace sparsedet::engine

@@ -5,8 +5,8 @@
 // feeds them independent tasks as they arrive — the right
 // shape for a stream of heterogeneous requests where one expensive
 // simulate must not serialize a thousand cheap analyzes behind it. A
-// one-worker pool runs its tasks in submission order, which is how the
-// engine's async emitter and the TCP server's long-command executor use it.
+// one-worker pool runs its tasks in submission order, which is how the TCP
+// server's long-command executor uses it.
 //
 // Tasks must not throw, with one sanctioned exception: a task may throw
 // resilience::WorkerAbort to simulate (or report) a crashed worker. The

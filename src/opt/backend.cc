@@ -86,7 +86,8 @@ std::vector<JsonValue> AsyncEngineBackend::Solve(
     engine_.SubmitLineAsync(
         lines[i], static_cast<int>(i) + 1, parent_, /*oversized=*/false,
         [&, i](std::string response) {
-          // Emitter thread: store and signal, nothing that can block.
+          // A pool worker, or this thread for a cache hit: store and
+          // signal, nothing that can block.
           std::lock_guard<std::mutex> lock(mutex);
           raw[i] = std::move(response);
           ++done;

@@ -11,8 +11,9 @@
 //     where the engine is otherwise idle between requests.
 //   * AsyncEngineBackend feeds BatchEngine::SubmitLineAsync — the TCP
 //     front-end, whose engine already runs in async mode serving other
-//     connections concurrently. Solve() must NOT be called from the
-//     engine's emitter thread (the callbacks it waits on run there).
+//     connections concurrently. Solve() must NOT be called from one of
+//     the engine's pool workers: the callbacks it waits on run on those
+//     workers (or inline, for cache hits), and it would hold one of them.
 //
 // Both return exactly one parsed response per request line, in request
 // order, which is what makes the optimizer's output byte-identical across

@@ -5,10 +5,9 @@
 // seconds to minutes — orders of magnitude past anything else on the
 // command path. The stdio serve loop can afford to run it inline (the
 // engine is idle between its lines); the TCP server cannot run it on
-// either of its threads: on the event loop it would freeze every
-// connection for the whole run, and on the engine's emitter thread it
-// would deadlock — the run blocks waiting for inner-solve callbacks that
-// fire on that very thread.
+// the event loop, which would freeze every connection for the whole run,
+// nor on an engine pool worker, which the run would hold while it blocks
+// waiting for inner-solve callbacks that other workers fire.
 //
 // So long commands get a dedicated executor: a one-worker WorkerPool, which
 // runs jobs one at a time in submission order. Jobs run through

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,7 +42,8 @@ struct TcpServer::Conn {
   // Requests admitted to the engine whose callback has not yet fired.
   std::atomic<int> pending{0};
 
-  // Shared with the engine emitter thread (response delivery).
+  // Shared with the pool workers and the long-command executor, which
+  // deliver the responses they complete.
   std::mutex mutex;
   std::uint64_t next_emit = 0;  // next sequence number to append to outbuf
   std::map<std::uint64_t, std::string> ready;  // out-of-order responses
@@ -89,7 +91,7 @@ TcpServer::TcpServer(engine::BatchEngine& engine,
 TcpServer::~TcpServer() {
   // The admin thread serves handlers that read `this`; stop it before any
   // other teardown. Likewise the completion hook captures `this` and runs
-  // on the engine's emitter thread, which the engine keeps past our
+  // on the engine's pool workers, which the engine keeps past our
   // lifetime — detach it.
   admin_.reset();
   // The executor's done callbacks touch outstanding_ and the wake fd; its
@@ -173,6 +175,7 @@ void TcpServer::WakeLoop() {
 }
 
 void TcpServer::Run() {
+  loop_thread_ = std::this_thread::get_id();
   std::vector<epoll_event> events(64);
   for (;;) {
     if (drain_requested_.load(std::memory_order_acquire) && !draining_) {
@@ -236,7 +239,8 @@ void TcpServer::Run() {
         std::uint64_t drainv = 0;
         while (::read(wake_fd_, &drainv, sizeof(drainv)) > 0) {
         }
-        // The emitter delivered responses; flush any conn with output.
+        // Workers or the executor delivered responses; flush any conn with
+        // output.
         for (auto it = conns_.begin(); it != conns_.end();) {
           auto conn = it->second;  // FlushConn may erase from conns_
           ++it;
@@ -343,14 +347,12 @@ void TcpServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
       CloseConn(conn, /*disconnect=*/true);
       return;
     }
-    bool done;
-    {
-      std::lock_guard<std::mutex> lock(conn->mutex);
-      done = conn->outbuf.empty() && conn->ready.empty();
-    }
-    if (done) CloseConn(conn, /*disconnect=*/false);
-    // Otherwise FlushConn closes it once the last response is written.
   }
+  // Responses answered on this thread (cache hits, plan-time errors,
+  // commands, admission rejections) were appended without a wake-up.
+  // FlushConn also closes a half-closed connection once its last response
+  // is written.
+  FlushConn(conn);
 }
 
 void TcpServer::ProcessLines(const std::shared_ptr<Conn>& conn) {
@@ -386,15 +388,18 @@ void TcpServer::ProcessLines(const std::shared_ptr<Conn>& conn) {
     // for every admitted line.
     conn->pending.fetch_add(1, std::memory_order_acq_rel);
     outstanding_.fetch_add(1, std::memory_order_acq_rel);
+    // The engine calls back on this thread when nothing was left to
+    // compute; HandleReadable flushes those. A pool worker or the executor
+    // wakes the loop once, after the counts drop, so a drain sees zero.
     auto deliver = [this, owner = conn, seq](std::string response) {
       DeliverResponse(owner, seq, std::move(response));
       owner->pending.fetch_sub(1, std::memory_order_acq_rel);
       outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-      WakeLoop();
+      if (std::this_thread::get_id() != loop_thread_) WakeLoop();
     };
-    // Long commands run for seconds-to-minutes and their inner solves
-    // complete on the engine's emitter thread, so they can run on neither
-    // of our threads: the executor takes them.
+    // Long commands run for seconds-to-minutes, blocking on inner solves
+    // that complete on the engine's pool workers, so they can run on
+    // neither the loop nor a worker: the executor takes them.
     const LongCommand* command =
         line.kind == Kind::kCommand ? FindLongCommand(line.cmd) : nullptr;
     if (command != nullptr) {
@@ -423,7 +428,6 @@ void TcpServer::DeliverResponse(const std::shared_ptr<Conn>& conn,
       responses_total_->Inc();
     }
   }
-  WakeLoop();
 }
 
 void TcpServer::HandleWritable(const std::shared_ptr<Conn>& conn) {

@@ -15,12 +15,18 @@
 // engine::ReadInputLine, assigned a per-connection sequence number, and
 // either handed to OptimizeExecutor (a long command), rejected at
 // admission (tenant quota — see token_bucket.h), or submitted to the
-// engine via BatchEngine::SubmitAsync, whose callback delivers the
-// rendered response on the engine's emitter thread.
-// A per-connection reorder buffer merges engine responses with
-// server-side rejections in sequence order; the event loop is woken
-// through an eventfd and performs all socket writes (non-blocking,
-// EPOLLOUT-driven), so the emitter thread never blocks on a slow client.
+// engine via BatchEngine::SubmitAsync. The engine answers each request
+// where its work finishes: a result-cache hit, a plan-time error or a
+// command on the loop thread itself, before SubmitAsync returns; a
+// computed request on the pool worker that publishes its last unit. So
+// one connection's slow request stalls no other connection.
+// A per-connection reorder buffer merges those responses with server-side
+// rejections in sequence order — it alone keeps a connection's responses
+// in request order. The loop performs all socket writes (non-blocking,
+// EPOLLOUT-driven), so no worker blocks on a slow client: a response
+// delivered on the loop is flushed after the read that produced it, and
+// one delivered by a worker or the executor wakes the loop once through
+// an eventfd.
 //
 // Cancellation: each connection owns a CancelToken (created with
 // allow_memo_inserts, so serving still warms the solver memo cache). On
@@ -40,6 +46,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "engine/engine.h"
@@ -75,8 +82,8 @@ class TcpServer {
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  // Binds + listens and starts the engine's emitter thread. Throws Error on
-  // bind/listen failure.
+  // Binds + listens, enables the engine's async API and starts the
+  // long-command executor. Throws Error on bind/listen failure.
   void Start();
 
   // The bound port (after Start()); useful with options.port == 0.
@@ -100,8 +107,9 @@ class TcpServer {
   // Feeds decoded lines to the executor, admission and the engine.
   void ProcessLines(const std::shared_ptr<Conn>& conn);
   // Stashes a response for `seq` and appends every now-contiguous response
-  // to the connection's outbound buffer. Called from the event loop (local
-  // rejections) and the engine emitter thread (engine responses).
+  // to the connection's outbound buffer, without waking the loop. Called
+  // from the event loop (rejections, and engine responses answered at
+  // submission), the engine's pool workers and the executor.
   void DeliverResponse(const std::shared_ptr<Conn>& conn, std::uint64_t seq,
                        std::string&& text);
   void FlushConn(const std::shared_ptr<Conn>& conn);
@@ -126,7 +134,8 @@ class TcpServer {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: emitter-thread delivery + drain requests
+  int wake_fd_ = -1;  // eventfd: worker/executor delivery + drain requests
+  std::thread::id loop_thread_;  // the thread running Run()
   int port_ = 0;
   std::atomic<bool> drain_requested_{false};
   bool draining_ = false;

@@ -3,8 +3,10 @@
 // byte-at-a-time frames, slowloris), mid-request disconnect cancellation,
 // per-tenant admission control, the connection cap, in-stream stats,
 // off-loop {"cmd":"optimize"} / {"cmd":"adapt"} execution, the drain-time
-// degraded-tagging contract for long commands, and byte-identity with
-// stdio serve on command, blank and malformed lines.
+// degraded-tagging contract for long commands, byte-identity with stdio
+// serve on command, blank and malformed lines and on pipelined cache hits,
+// computed requests and errors, and that one connection's slow request
+// does not hold back another connection's response.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -131,6 +133,13 @@ class Client {
       if (n <= 0) return false;
       buffer_.append(buf, static_cast<std::size_t>(n));
     }
+  }
+
+  // True when response bytes are readable right now, without blocking.
+  bool HasData() {
+    char byte;
+    return !buffer_.empty() ||
+           ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
   }
 
   // True when the peer closed the connection (read returns 0).
@@ -425,6 +434,89 @@ TEST(TcpServer, StatsCommandAnswersInStream) {
   // carries the server's own counters.
   EXPECT_NE(response.find("\"requests\":1"), std::string::npos);
   EXPECT_NE(response.find("server_connections_active"), std::string::npos);
+}
+
+TEST(TcpServer, SlowRequestDoesNotStallOtherConnections) {
+  engine::EngineOptions engine_options;
+  // The first evaluate sleeps 2 s before its first cancellation point, so
+  // connection A's request is slow and every later one is not.
+  engine_options.fault_config =
+      R"({"delay_every":1,"delay_ms":2000,"max_faults":1})";
+  TestServer server({}, engine_options);
+  Client a(server.port());
+  Client b(server.port());
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b.connected());
+  ASSERT_TRUE(a.SendLine(R"({"id":1,"op":"analyze","params":{"nodes":61}})"));
+  // Wait until A's unit sleeps in the injected delay, so the delay cannot
+  // land on B's unit instead.
+  for (int i = 0;
+       i < 500 && server.CounterValue("engine_injected_faults_total") < 1;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(server.CounterValue("engine_injected_faults_total"), 1u);
+
+  ASSERT_TRUE(b.SendLine(R"({"id":2,"op":"analyze","params":{"nodes":62}})"));
+  std::string response;
+  ASSERT_TRUE(b.ReadLine(&response));
+  EXPECT_EQ(IdOf(response), 2);
+  EXPECT_NE(response.find("\"result\""), std::string::npos) << response;
+  // B was answered while A's response is still owed: not yet delivered by
+  // the server, and nothing to read on A's socket.
+  EXPECT_EQ(server.CounterValue("server_responses_total"), 1u);
+  EXPECT_FALSE(a.HasData());
+
+  ASSERT_TRUE(a.ReadLine(&response));
+  EXPECT_EQ(IdOf(response), 1);
+  EXPECT_NE(response.find("\"result\""), std::string::npos) << response;
+}
+
+TEST(TcpServer, PipelinedHitsComputesAndErrorsMatchStdioServe) {
+  // No {"cmd":"stats"}: its counters depend on timing.
+  const std::string warm = R"({"id":"warm","op":"analyze","params":{"nodes":90}})";
+  const std::string fresh =
+      R"({"id":"fresh","op":"analyze","params":{"nodes":110}})";
+  const std::vector<std::string> lines = {
+      warm,   // one round trip first: cached by the time the rest arrive
+      fresh,  // computed
+      fresh,  // coalesced, or computed again, or a hit: the same bytes
+      warm,   // a cache hit, answered from the entry's bytes
+      R"({"id":"sweep","op":"sweep","sweep":{"param":"nodes","from":60,"to":100,"step":20}})",
+      R"({"id":"bad","op":)",  // malformed
+      R"({"id":"neg","op":"analyze","params":{"nodes":-5}})",  // plan error
+      R"({"op":"analyze","params":{"nodes":90}})",  // id-less, a cache hit
+  };
+  std::string input;
+  for (const std::string& line : lines) input += line + "\n";
+  std::istringstream in(input);
+  std::ostringstream stdio;
+  std::ostringstream err;
+  ASSERT_EQ(cli::CmdServe({"--threads", "2"}, in, stdio, err), 0)
+      << err.str();
+  // The id-less request is line 8 on both transports.
+  EXPECT_NE(stdio.str().find(R"({"id":8,"op":"analyze","result":)"),
+            std::string::npos)
+      << stdio.str();
+
+  TestServer server;
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  std::string tcp;
+  std::string response;
+  ASSERT_TRUE(client.SendLine(lines[0]));
+  ASSERT_TRUE(client.ReadLine(&response));
+  tcp += response + "\n";
+  std::string burst;
+  for (std::size_t i = 1; i < lines.size(); ++i) burst += lines[i] + "\n";
+  ASSERT_TRUE(client.Send(burst));
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    ASSERT_TRUE(client.ReadLine(&response)) << "response " << i;
+    tcp += response + "\n";
+  }
+  EXPECT_EQ(tcp, stdio.str());
+  server.Stop();
+  EXPECT_GE(server.CounterValue("engine_cache_hits_total"), 2u);
 }
 
 // The optimize command a few tests share: the golden reference study
