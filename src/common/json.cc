@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -93,8 +94,14 @@ namespace {
 void AppendEscaped(std::string& out, const std::string& s) {
   static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (char raw : s) {
-    const unsigned char ch = static_cast<unsigned char>(raw);
+  // Characters that need no escape are appended a run at a time.
+  const char* run = s.data();
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const unsigned char ch = static_cast<unsigned char>(*p);
+    if (ch >= 0x20 && ch != '"' && ch != '\\') continue;
+    out.append(run, p);
+    run = p + 1;
     switch (ch) {
       case '"':
         out += "\\\"";
@@ -112,15 +119,12 @@ void AppendEscaped(std::string& out, const std::string& s) {
         out += "\\r";
         break;
       default:
-        if (ch < 0x20) {
-          out += "\\u00";
-          out += kHex[ch >> 4];
-          out += kHex[ch & 0xF];
-        } else {
-          out += raw;
-        }
+        out += "\\u00";
+        out += kHex[ch >> 4];
+        out += kHex[ch & 0xF];
     }
   }
+  out.append(run, end);
   out += '"';
 }
 
@@ -135,11 +139,16 @@ void AppendJsonNumber(std::string& out, double d) {
   // sign, a point and "e-308", or "0.000" plus 17 digits.
   char buf[32];
   char* const end = buf + sizeof(buf);
-  // Exactly representable integers print as integers ("%.0f": -0.0 stays
-  // "-0").
+  // Exactly representable integers print as integers, as "%.0f" does:
+  // below 2^53 the int64_t conversion is exact, and its digits are the
+  // fixed form's. Only -0.0 needs its sign kept by hand.
   if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
+    if (d == 0.0 && std::signbit(d)) {
+      out += "-0";
+      return;
+    }
     out.append(buf,
-               std::to_chars(buf, end, d, std::chars_format::fixed, 0).ptr);
+               std::to_chars(buf, end, static_cast<std::int64_t>(d)).ptr);
     return;
   }
   // printf's "%.Pg" for the smallest P that parses back to d. No P below

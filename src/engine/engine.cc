@@ -30,6 +30,9 @@ struct BatchEngine::PendingUnit {
   std::int64_t solve_ns = 0;
   int attempts = 1;
   bool done = false;      // guarded by done_mutex_
+  // Set by the coordinator about to block on this unit in WaitForUnits;
+  // only such a unit's publication wakes it. Guarded by done_mutex_.
+  bool waited = false;
   bool inserted = false;  // coordinator-only: already in the cache
   // Async requests waiting on this unit, one entry per reference; the
   // worker that publishes it completes those it was the last unit of.
@@ -58,10 +61,14 @@ struct BatchEngine::PendingRequest {
   };
   std::vector<UnitRef> units;  // parallel to span.units
 
-  // Async only: the submitter's callback, and the number of references to
-  // units still pending (guarded by done_mutex_).
+  // Async only: the submitter's callback.
   ResponseCallback done;
+  // Async and unordered batches: the number of references to units still
+  // pending (guarded by done_mutex_). The worker publishing the last one
+  // answers an async request, or, with `queue_when_ready` (unordered
+  // batch), puts it on ready_ for the coordinator.
   int remaining = 0;
+  bool queue_when_ready = false;
 };
 
 namespace {
@@ -275,9 +282,10 @@ JsonValue BatchEngine::StatsSnapshotJson() const {
   return json;
 }
 
-std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
-    InputLine line, std::shared_ptr<const resilience::CancelToken> parent) {
-  auto pending = std::make_unique<PendingRequest>();
+std::shared_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
+    InputLine line, std::shared_ptr<const resilience::CancelToken> parent,
+    FreshUnits* deferred) {
+  auto pending = std::make_shared<PendingRequest>();
   pending->line = line.number;
   // Set before validation, so even a rejected request's error line is
   // attributable.
@@ -322,9 +330,12 @@ std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
   }
 
   // Backpressure: checked before any unit is admitted, so a rejected
-  // request contributes nothing to the unit/cache counters.
+  // request contributes nothing to the unit/cache counters. Deferred units
+  // are backlog whose pool task does not exist yet.
   if (options_.max_queue > 0 &&
-      pool_.QueueDepth() + expanded.size() > options_.max_queue) {
+      pool_.QueueDepth() + (deferred != nullptr ? deferred->size() : 0) +
+              expanded.size() >
+          options_.max_queue) {
     metrics_.overloaded->Inc();
     pending->parse_error =
         "engine overloaded: " + std::to_string(expanded.size()) +
@@ -344,10 +355,13 @@ std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
   // coalescing targets — cancelling a shared unit would fail an innocent
   // request that coalesced onto it.
   const bool isolated = pending->token != nullptr;
-  // Fresh (non-cached, non-coalesced) units are collected here and handed
-  // to the pool together once the whole request has planned, so small
-  // units can share pool tasks (FlushSubmits).
-  std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>> fresh;
+  // Fresh (non-cached, non-coalesced) units are collected and handed to the
+  // pool together, so small units can share pool tasks (FlushSubmits): a
+  // sync batch collects them across requests, everyone else per request.
+  // A tokened request's units stay out of a batch's shared tasks.
+  const bool defer = deferred != nullptr && !isolated;
+  FreshUnits own;
+  FreshUnits& fresh = defer ? *deferred : own;
   {
     // Everything above reads only the line. The in-flight slots, the
     // cache and its counters are shared with concurrent submitters and
@@ -389,17 +403,26 @@ std::unique_ptr<BatchEngine::PendingRequest> BatchEngine::PlanLine(
       pending->span.units.push_back(std::move(unit_span));
     }
   }
-  FlushSubmits(&fresh);
+  if (!defer) {
+    // The batch's earlier units first, so the pool's FIFO order is the
+    // planning order.
+    if (deferred != nullptr) FlushSubmits(deferred);
+    FlushSubmits(&own);
+  } else if (deferred->size() >= std::max<std::size_t>(
+                                     1, pool_.thread_count()) *
+                                     kGroupMinUnitsPerChunk) {
+    // A full chunk for every worker: start them while planning goes on.
+    FlushSubmits(deferred);
+  }
   return pending;
 }
 
-void BatchEngine::FlushSubmits(
-    std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>>* fresh) {
+void BatchEngine::FlushSubmits(FreshUnits* fresh) {
   if (fresh->empty()) return;
   // The watchdog cancels whole pool tasks, and one stuck unit must not
   // take its group-mates down with it: no grouping while it is armed.
   const bool groupable = options_.watchdog_stuck_ms == 0;
-  std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>> small;
+  FreshUnits small;
   for (auto& entry : *fresh) {
     if (groupable && UnitCostProxy(entry.second) < kGroupCostThreshold) {
       small.push_back(std::move(entry));
@@ -413,9 +436,9 @@ void BatchEngine::FlushSubmits(
     SubmitUnit(small[0].first, std::move(small[0].second), /*attempt=*/1);
     return;
   }
-  // Contiguous chunks preserve the units' in-request order inside each
-  // task; chunk count caps at the pool width (more chunks than workers
-  // only adds dispatch overhead back).
+  // Contiguous chunks preserve the units' planning order inside each task;
+  // a chunk may hold units of several requests. Chunk count caps at the
+  // pool width (more chunks than workers only adds dispatch overhead back).
   const std::size_t pool_width = std::max<std::size_t>(1, pool_.thread_count());
   const std::size_t chunk_count = std::min(
       pool_width,
@@ -424,8 +447,7 @@ void BatchEngine::FlushSubmits(
   const std::int64_t submitted_ns = obs::NowNanos();
   for (std::size_t begin = 0; begin < small.size(); begin += per_chunk) {
     const std::size_t end = std::min(small.size(), begin + per_chunk);
-    auto chunk = std::make_shared<
-        std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>>>(
+    auto chunk = std::make_shared<FreshUnits>(
         std::make_move_iterator(small.begin() + begin),
         std::make_move_iterator(small.begin() + end));
     pool_.Submit([this, chunk, submitted_ns]() {
@@ -443,8 +465,9 @@ void BatchEngine::FlushSubmits(
           RunUnit(slot, token, std::move(unit), /*attempt=*/1, submitted_ns);
         } catch (const resilience::WorkerAbort&) {
           // This worker thread is dying. Peel the not-yet-run group mates
-          // off onto their own tasks so their requests still complete,
-          // then let the abort propagate for the pool to respawn us.
+          // (of any request) off onto their own tasks so their requests
+          // still complete, then let the abort propagate for the pool to
+          // respawn us.
           for (std::size_t j = i + 1; j < chunk->size(); ++j) {
             SubmitUnit((*chunk)[j].first, std::move((*chunk)[j].second),
                        /*attempt=*/1);
@@ -542,16 +565,25 @@ void BatchEngine::RunUnit(const std::shared_ptr<PendingUnit>& slot,
     slot->solve_ns = solve_ns;
     std::vector<std::shared_ptr<PendingRequest>> completed;
     {
+      std::lock_guard<std::mutex> lock(done_mutex_);
+      slot->done = true;
+      // Wake the coordinator only when it is blocked on this unit, or when
+      // this completes a request of its unordered batch.
+      bool wake = slot->waited;
+      for (std::shared_ptr<PendingRequest>& waiter : slot->waiters) {
+        if (--waiter->remaining != 0) continue;
+        if (waiter->queue_when_ready) {
+          ready_.push_back(std::move(waiter));
+          wake = true;
+        } else {
+          completed.push_back(std::move(waiter));
+        }
+      }
+      slot->waiters.clear();
       // Notify while holding the mutex: the coordinator may destroy this
       // engine (and the condvar) as soon as it observes done, so the
       // broadcast must complete before the waiter can re-acquire.
-      std::lock_guard<std::mutex> lock(done_mutex_);
-      slot->done = true;
-      done_cv_.notify_all();
-      for (std::shared_ptr<PendingRequest>& waiter : slot->waiters) {
-        if (--waiter->remaining == 0) completed.push_back(std::move(waiter));
-      }
-      slot->waiters.clear();
+      if (wake) done_cv_.notify_all();
     }
     // Every path above — result, error, cancellation, exhausted retries, a
     // dying worker — publishes exactly once, so each async request waiting
@@ -578,6 +610,7 @@ bool BatchEngine::WaitForUnits(const PendingRequest& request) {
   if (!deadline.set()) {
     for (const PendingRequest::UnitRef& ref : request.units) {
       if (ref.pending) {
+        ref.pending->waited = true;
         done_cv_.wait(lock, [&ref] { return ref.pending->done; });
       }
     }
@@ -586,6 +619,7 @@ bool BatchEngine::WaitForUnits(const PendingRequest& request) {
   const auto expires = deadline.time_point();
   for (const PendingRequest::UnitRef& ref : request.units) {
     if (!ref.pending) continue;
+    ref.pending->waited = true;
     if (!done_cv_.wait_until(lock, expires,
                              [&ref] { return ref.pending->done; })) {
       return true;
@@ -816,7 +850,9 @@ void BatchEngine::ProcessStream(std::istream& in, std::ostream& out,
   std::string text;
   int line_number = 0;
   bool truncated = false;
-  std::vector<std::unique_ptr<PendingRequest>> planned;
+  std::vector<std::shared_ptr<PendingRequest>> planned;
+  // Batch mode: fresh units of successive requests share pool tasks.
+  FreshUnits deferred;
   while (framing::ReadBoundedLine(in, text, options_.max_line_bytes,
                                   &truncated)) {
     InputLine line = ReadInputLine(text, ++line_number, truncated);
@@ -824,55 +860,48 @@ void BatchEngine::ProcessStream(std::istream& in, std::ostream& out,
     // Batch mode has no command channel: its "cmd" lines are requests, and
     // the strict request parser rejects the unknown key.
     if (!streaming) {
-      planned.push_back(PlanLine(std::move(line)));
+      planned.push_back(PlanLine(std::move(line), nullptr, &deferred));
       continue;
     }
     if (line.kind == InputLine::Kind::kCommand) {
       out << AnswerCommand(line).ToString() << "\n";
     } else {
-      const std::unique_ptr<PendingRequest> request = PlanLine(std::move(line));
+      const std::shared_ptr<PendingRequest> request = PlanLine(std::move(line));
       out << RenderRequest(*request, WaitForUnits(*request)) << "\n";
       in_flight_.clear();
     }
     out.flush();
   }
   if (streaming) return;
+  FlushSubmits(&deferred);
   in_flight_.clear();  // emission takes over; new batches plan afresh
 
   if (!options_.unordered) {
-    for (const std::unique_ptr<PendingRequest>& request : planned) {
+    for (const std::shared_ptr<PendingRequest>& request : planned) {
       out << RenderRequest(*request, WaitForUnits(*request)) << "\n";
     }
     return;
   }
 
-  // Unordered: emit each request as soon as its last unit completes.
-  auto ready = [](const PendingRequest& request) {
-    if (!request.parse_error.empty()) return true;
-    for (const PendingRequest::UnitRef& ref : request.units) {
-      if (ref.pending && !ref.pending->done) return false;
+  // Unordered: emit each request as soon as its last unit completes. The
+  // worker publishing that unit queues the request on ready_, so each
+  // wake-up hands the coordinator one request to render.
+  for (const std::shared_ptr<PendingRequest>& request : planned) {
+    request->queue_when_ready = true;
+    if (AwaitUnits(request) == 0) {
+      std::lock_guard<std::mutex> lock(done_mutex_);
+      ready_.push_back(request);
     }
-    return true;
-  };
-  std::vector<bool> emitted(planned.size(), false);
-  std::size_t remaining = planned.size();
-  while (remaining > 0) {
-    std::size_t next = planned.size();
+  }
+  for (std::size_t remaining = planned.size(); remaining > 0; --remaining) {
+    std::shared_ptr<PendingRequest> next;
     {
       std::unique_lock<std::mutex> lock(done_mutex_);
-      done_cv_.wait(lock, [&] {
-        for (std::size_t i = 0; i < planned.size(); ++i) {
-          if (!emitted[i] && ready(*planned[i])) {
-            next = i;
-            return true;
-          }
-        }
-        return false;
-      });
+      done_cv_.wait(lock, [this] { return !ready_.empty(); });
+      next = std::move(ready_.front());
+      ready_.pop_front();
     }
-    out << RenderRequest(*planned[next], WaitForUnits(*planned[next])) << "\n";
-    emitted[next] = true;
-    --remaining;
+    out << RenderRequest(*next, WaitForUnits(*next)) << "\n";
   }
 }
 

@@ -36,6 +36,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <functional>
 #include <istream>
@@ -257,26 +258,35 @@ class BatchEngine {
  private:
   struct PendingUnit;
   struct PendingRequest;
+  // Freshly planned units (neither cached nor coalesced) awaiting a pool
+  // task.
+  using FreshUnits =
+      std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>>;
 
   // Plans one read line into a pending request, submitting any newly
   // needed evaluations to the pool. Too-long and malformed lines become
   // pending errors. Parsing, expansion and key building read only the
   // line; the lookups in the cache and in_flight_ take plan_mutex_, so
-  // async submitters may call it concurrently.
-  std::unique_ptr<PendingRequest> PlanLine(
+  // async submitters may call it concurrently. With `deferred` (the sync
+  // batch path), the fresh units of a request without a token join that
+  // batch-level list instead, which is flushed whenever it holds a chunk
+  // for every worker; the caller flushes the rest once planning ends.
+  std::shared_ptr<PendingRequest> PlanLine(
       InputLine line,
-      std::shared_ptr<const resilience::CancelToken> parent = nullptr);
+      std::shared_ptr<const resilience::CancelToken> parent = nullptr,
+      FreshUnits* deferred = nullptr);
   // Sync paths: blocks until the request's units are done; returns true
-  // when its deadline expired first.
+  // when its deadline expired first. Flags each unit it blocks on, so
+  // only that unit's publication wakes the coordinator.
   bool WaitForUnits(const PendingRequest& request);
   // Renders a request whose units are all done (or abandoned to an
   // expired deadline): inserts newly computed results into the cache and
   // returns the response line (no trailing newline). Runs on several
   // threads at once in async mode.
   std::string RenderRequest(PendingRequest& request, bool deadline_hit);
-  // Async: registers `request` on each of its units still pending and
-  // returns how many there are; the worker publishing the last one
-  // completes it.
+  // Registers `request` on each of its units still pending and returns how
+  // many there are; the worker publishing the last one completes an async
+  // request, or queues an unordered batch's request on ready_.
   int AwaitUnits(const std::shared_ptr<PendingRequest>& request);
   // Async: renders a request whose units are all done, calls it back and
   // counts it answered.
@@ -291,11 +301,11 @@ class BatchEngine {
   // from the coordinator; retries resubmit from the failing worker.
   void SubmitUnit(const std::shared_ptr<PendingUnit>& slot, WorkUnit unit,
                   int attempt);
-  // Dispatches the freshly planned units of one request: heavy units one
-  // pool task each, small units grouped into a few contiguous chunks, so
-  // per-task dispatch does not dominate a ~10 us solve. Clears `*fresh`.
-  void FlushSubmits(
-      std::vector<std::pair<std::shared_ptr<PendingUnit>, WorkUnit>>* fresh);
+  // Dispatches freshly planned units — one request's, or a whole batch's
+  // run of requests: heavy units one pool task each, small units grouped
+  // into a few contiguous chunks, so per-task dispatch does not dominate a
+  // ~10 us solve. Clears `*fresh`.
+  void FlushSubmits(FreshUnits* fresh);
   // The worker-side body of one attempt: fault injection, cancellation
   // scope, evaluation, retry-or-publish.
   void RunUnit(const std::shared_ptr<PendingUnit>& slot,
@@ -322,6 +332,9 @@ class BatchEngine {
   // until the pool's destructor joins it, so the condvar must die later.
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
+  // Unordered batch: requests whose last unit has published, in completion
+  // order, for the coordinator to render. Guarded by done_mutex_.
+  std::deque<std::shared_ptr<PendingRequest>> ready_;
   // Async requests submitted and not yet called back, for DrainAsync.
   // Declared before the pool for the same reason as done_cv_.
   std::mutex async_mutex_;

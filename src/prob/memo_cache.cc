@@ -88,24 +88,24 @@ std::size_t MemoCache::capacity() const {
 void MemoCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const Entry& entry : shard.lru) {
-      entries_.fetch_sub(1, std::memory_order_relaxed);
-      bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
-    }
     shard.index.clear();
     shard.lru.clear();
+    shard.bytes = 0;
   }
 }
 
 MemoCacheStats MemoCache::Stats() const {
   MemoCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.skipped_inserts = skipped_inserts_.load(std::memory_order_relaxed);
-  stats.entries = entries_.load(std::memory_order_relaxed);
-  stats.bytes = bytes_.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    stats.hits += shard.hits;
+    stats.misses += shard.misses;
+    stats.inserts += shard.inserts;
+    stats.evictions += shard.evictions;
+    stats.skipped_inserts += shard.skipped_inserts;
+    stats.entries += shard.lru.size();
+    stats.bytes += shard.bytes;
+  }
   stats.capacity_entries = capacity_entries_.load(std::memory_order_relaxed);
   return stats;
 }
@@ -117,7 +117,7 @@ std::vector<MemoShardStats> MemoCache::ShardStats() {
     std::lock_guard<std::mutex> lock(shard.mutex);
     MemoShardStats s;
     s.entries = shard.lru.size();
-    for (const Entry& entry : shard.lru) s.bytes += entry.bytes;
+    s.bytes = shard.bytes;
     out.push_back(s);
   }
   return out;
@@ -128,19 +128,16 @@ MemoCache::Shard& MemoCache::ShardFor(const std::string& key) {
 }
 
 std::shared_ptr<const void> MemoCache::Lookup(const std::string& key) {
-  if (capacity() == 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
+  const bool enabled = capacity() != 0;
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.index.find(key);
+  const auto it = enabled ? shard.index.find(key) : shard.index.end();
   if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.misses;
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++shard.hits;
   return it->second->value;
 }
 
@@ -152,15 +149,15 @@ std::shared_ptr<const void> MemoCache::Insert(
   // that exist only for disconnect-style abandonment explicitly allow
   // inserts (a *completed* compute under one is still pure and valid).
   const resilience::CancelToken* token = resilience::CurrentCancelToken();
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
   if (total_capacity == 0 ||
       (token != nullptr && !token->memo_inserts_allowed())) {
-    skipped_inserts_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.skipped_inserts;
     return nullptr;
   }
   const std::size_t per_shard =
       std::max<std::size_t>(1, total_capacity / kShardCount);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // A concurrent compute for the same key beat us; share its value.
@@ -170,9 +167,8 @@ std::shared_ptr<const void> MemoCache::Insert(
   shard.lru.push_front(Entry{key, std::move(value), bytes});
   shard.index.emplace(std::string_view(shard.lru.front().key),
                       shard.lru.begin());
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  entries_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  ++shard.inserts;
+  shard.bytes += bytes;
   EvictLockedToCapacity(shard, per_shard);
   return shard.lru.front().value;
 }
@@ -181,9 +177,8 @@ void MemoCache::EvictLockedToCapacity(Shard& shard,
                                       std::size_t per_shard_capacity) {
   while (shard.lru.size() > per_shard_capacity) {
     const Entry& victim = shard.lru.back();
-    entries_.fetch_sub(1, std::memory_order_relaxed);
-    bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    shard.bytes -= victim.bytes;
+    ++shard.evictions;
     shard.index.erase(std::string_view(victim.key));
     shard.lru.pop_back();
   }

@@ -11,8 +11,9 @@
 //
 // Concurrency and determinism:
 //   * The cache is sharded (FNV-1a over the key bytes picks the shard);
-//     each shard is an independent mutex-guarded LRU list, so parallel
-//     workers rarely contend on the same lock.
+//     each shard is an independent mutex-guarded LRU list with its own
+//     counters, on cache lines of its own, so parallel workers rarely
+//     contend on the same lock or line. Stats() sums the shards.
 //   * Values are immutable (`shared_ptr<const T>`) and computed by pure
 //     functions of their key, so a hit returns a value bitwise identical to
 //     what a fresh compute would produce — cold vs. warm cache cannot
@@ -105,6 +106,7 @@ class MemoCache {
   std::size_t capacity() const;
 
   void Clear();
+  // Sums the shards' counters; takes each shard mutex briefly.
   MemoCacheStats Stats() const;
   // One entry per shard, in shard order. Takes each shard mutex briefly.
   std::vector<MemoShardStats> ShardStats();
@@ -136,10 +138,19 @@ class MemoCache {
     std::shared_ptr<const void> value;
     std::size_t bytes = 0;
   };
-  struct Shard {
-    std::mutex mutex;
+  // Aligned to a (64-byte) cache line, so one shard's lock and counters
+  // never share a line with another's.
+  struct alignas(64) Shard {
+    mutable std::mutex mutex;  // Stats() is const
     std::list<Entry> lru;  // front = most recently used
     std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
+    // Guarded by `mutex`; the entry count is lru.size().
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t inserts = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t skipped_inserts = 0;
+    std::uint64_t bytes = 0;
   };
 
   std::shared_ptr<const void> Lookup(const std::string& key);
@@ -154,14 +165,6 @@ class MemoCache {
   static constexpr std::size_t kShardCount = 16;
   std::vector<Shard> shards_;
   std::atomic<std::size_t> capacity_entries_;
-
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> inserts_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> skipped_inserts_{0};
-  std::atomic<std::uint64_t> entries_{0};
-  std::atomic<std::uint64_t> bytes_{0};
 };
 
 }  // namespace sparsedet::prob

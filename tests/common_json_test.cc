@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -49,6 +50,54 @@ TEST(Json, StringEscaping) {
   EXPECT_EQ(JsonValue("line\nbreak").ToString(), "\"line\\nbreak\"");
   EXPECT_EQ(JsonValue(std::string("ctrl\x01")).ToString(),
             "\"ctrl\\u0001\"");
+}
+
+// The per-character escaper the run-based one replaced, as the oracle.
+std::string OracleEscaped(const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out = "\"";
+  for (char raw : s) {
+    const unsigned char ch = static_cast<unsigned char>(raw);
+    if (ch == '"') {
+      out += "\\\"";
+    } else if (ch == '\\') {
+      out += "\\\\";
+    } else if (ch == '\n') {
+      out += "\\n";
+    } else if (ch == '\t') {
+      out += "\\t";
+    } else if (ch == '\r') {
+      out += "\\r";
+    } else if (ch < 0x20) {
+      out += "\\u00";
+      out += kHex[ch >> 4];
+      out += kHex[ch & 0xF];
+    } else {
+      out += raw;
+    }
+  }
+  return out + "\"";
+}
+
+TEST(Json, StringEscapingMatchesPerCharacterOracle) {
+  // Every byte alone, escapes at both ends and back to back, and random
+  // strings over a byte mix rich in characters that need escaping.
+  std::vector<std::string> inputs = {"", "\"\"", "\\\n", "\"a", "a\"",
+                                     "plain text"};
+  for (int b = 0; b < 256; ++b) inputs.emplace_back(1, static_cast<char>(b));
+  std::mt19937_64 rng(93);
+  for (int i = 0; i < 20000; ++i) {
+    std::string s(rng() % 24, ' ');
+    for (char& c : s) {
+      const std::uint64_t r = rng();
+      c = static_cast<char>(r % 4 == 0 ? "\"\\\n\t\r\x01\x1f"[r / 4 % 7]
+                                       : r / 4 % 256);
+    }
+    inputs.push_back(std::move(s));
+  }
+  for (const std::string& s : inputs) {
+    EXPECT_EQ(JsonValue(s).ToString(), OracleEscaped(s));
+  }
 }
 
 TEST(Json, ArraysAndObjects) {
@@ -355,6 +404,41 @@ TEST(JsonNumber, MatchesOracleOnShortDecimals) {
         -323 + static_cast<int>(rng() % 627));
   }
   ExpectMatchesOracle(values);
+}
+
+// The integer writer the fast path replaced: to_chars(d, fixed, 0).
+std::string FixedZeroForm(double d) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), d,
+                                        std::chars_format::fixed, 0)
+                              .ptr);
+}
+
+TEST(JsonNumber, IntegralFastPathMatchesFixedForm) {
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 9007199254740991.0,
+                                -9007199254740991.0};
+  for (double p = 10.0; p < 9.007199254740992e15; p *= 10.0) {
+    values.push_back(p);
+    values.push_back(-p);
+  }
+  // Magnitudes spread evenly over every bit length below 2^53.
+  std::mt19937_64 rng(2053);
+  for (int i = 0; i < 1000000; ++i) {
+    const int bits = 1 + static_cast<int>(rng() % 53);
+    const double magnitude = static_cast<double>(rng() >> (64 - bits));
+    values.push_back((rng() & 1) != 0 ? -magnitude : magnitude);
+  }
+  int mismatches = 0;
+  for (double d : values) {
+    const std::string written = WrittenNumber(d);
+    const std::string fixed = FixedZeroForm(d);
+    if (written != fixed && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << d << ": wrote " << written
+                    << ", fixed form " << fixed;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << values.size() << " values";
+  EXPECT_EQ(WrittenNumber(-0.0), "-0");
 }
 
 TEST(JsonNumber, NamedCases) {

@@ -200,6 +200,43 @@ TEST(EngineBackpressure, OverloadedRequestsAreRejectedInOrder) {
   EXPECT_GE(CounterValue(engine, "engine_overloaded_total"), 1u);
 }
 
+TEST(EngineBackpressure, BatchCountsDeferredUnits) {
+  // A batch hands its fresh units to the pool a chunk per worker at a time,
+  // and units still waiting for that count toward max_queue. Below one such
+  // flush no unit reaches the pool while the batch plans, so the backlog
+  // does not depend on how fast workers drain it: lines 0-9 fill it, and
+  // every later line would overflow it, at every width.
+  std::string batch;
+  for (int i = 0; i < 30; ++i) {
+    batch += R"({"id":)" + std::to_string(i) +
+             R"(,"op":"analyze","params":{"nodes":)" +
+             std::to_string(60 + 2 * i) + "}}\n";
+  }
+  std::string reference;
+  for (int threads : {1, 2, 4, 8}) {
+    EngineOptions options;
+    options.threads = threads;
+    options.max_queue = 10;
+    BatchEngine engine(options);
+    const std::string output = RunBatch(engine, batch);
+    const std::vector<std::string> lines = Lines(output);
+    ASSERT_EQ(lines.size(), 30u);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const JsonValue response = ParseJson(lines[i]);
+      const JsonValue* code = response.Find("error_code");
+      if (i < 10) {
+        EXPECT_EQ(code, nullptr) << "threads=" << threads << ": " << lines[i];
+      } else {
+        ASSERT_NE(code, nullptr) << "threads=" << threads << ": " << lines[i];
+        EXPECT_EQ(code->AsString(), "overloaded");
+      }
+    }
+    EXPECT_EQ(CounterValue(engine, "engine_overloaded_total"), 20u);
+    if (reference.empty()) reference = output;
+    EXPECT_EQ(output, reference) << "threads=" << threads;
+  }
+}
+
 TEST(EngineWatchdog, StuckUnitIsCancelledWithStructuredError) {
   EngineOptions options;
   options.threads = 1;
